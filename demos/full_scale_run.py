@@ -10,6 +10,11 @@ is opt-in and never part of the regular test suite.
 
     python demos/full_scale_run.py corpus.csv nrc_lexicon.txt --out runs/full
 
+Each variant is trained and scored by the command line itself, exactly
+as ``tagflow train`` and ``tagflow evaluate`` would run it, into
+``<out>/<variant>/``; without ``--out`` the runs go to a temporary
+directory.
+
 Exact reproduction of the published table is not expected — random
 initialization, an unreported batch size, and framework differences all
 move the third digit — but the run targets micro-F1 within a few points
@@ -19,89 +24,37 @@ alone under the same seed and budget.
 """
 
 import argparse
-import time
+import tempfile
 from pathlib import Path
 
-from tagflow import (
-    ModelConfig,
-    TagVocabulary,
-    TrainConfig,
-    build_model,
-    build_vocabulary,
-    encode_records,
-    evaluate_predictions,
-    load_lexicon,
-    load_stopwords,
-    predict_top_k,
-    save_checkpoint,
-    train,
-    validation_split,
-)
-from tagflow.corpus import Split, load_corpus
+from tagflow import MetricsReport
+from tagflow.cli import main as tagflow
 
 VARIANTS = ("cnn_fe", "cnn_cw")
 
 
-def _predictions(model, examples, k):
-    preds = {}
-    for ex in examples:
-        flow = ex.flow if model.config.uses_flow else None
-        probs = model.forward(ex.tokens, flow)
-        preds[ex.movie_id] = predict_top_k(probs, k, model.tag_vocab)
-    return preds
+def _tagflow(*argv):
+    status = tagflow([str(a) for a in argv])
+    if status != 0:
+        raise SystemExit(f"tagflow {argv[0]} exited {status}")
 
 
 def run(corpus_path, lexicon_path, out_dir=None, seed=0, k_values=(3, 5, 10)):
     """Train both variants and return ``{variant: {k: MetricsReport}}``."""
-    records = load_corpus(corpus_path)
-    train_records = [r for r in records if r.split is Split.TRAIN]
-    test_records = [r for r in records if r.split is Split.TEST]
-    print(f"{len(train_records)} training movies, {len(test_records)} test movies")
-
-    stopwords = load_stopwords()
-    vocab = build_vocabulary(train_records, stopwords=stopwords)
-    tag_vocab = TagVocabulary.from_records(train_records)
-    lexicon = load_lexicon(lexicon_path)
-    print(f"vocabulary {vocab.size} words, {len(tag_vocab)} tags, lexicon {len(lexicon)} words")
-
-    fit_part, val_part = validation_split(train_records, fraction=0.2, seed=seed)
-    encode = lambda recs: encode_records(recs, vocab, tag_vocab, stopwords, lexicon=lexicon)
-    fit_examples, val_examples = encode(fit_part), encode(val_part)
-    test_examples = encode(test_records)
-    truths = {r.movie_id: set(r.tags) for r in test_records}
-
-    out = Path(out_dir) if out_dir else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
-
-    results = {}
-    for variant in VARIANTS:
-        config = ModelConfig(variant=variant, vocab_size=vocab.size,
-                             n_tags=len(tag_vocab), seed=seed)
-        model = build_model(config)
-        model.vocab, model.tag_vocab = vocab, tag_vocab
-        schedule = TrainConfig(batch_size=32, max_epochs=100, patience=5,
-                               lr=config.lr, seed=seed)
-        print(f"\n=== {variant}: training (this is the slow part) ===")
-        started = time.monotonic()
-        log_path = out / f"{variant}_history.jsonl" if out else None
-        _, history = train(model, fit_examples, val_examples, schedule, log_path=log_path)
-        print(f"{len(history.epochs)} epochs in {time.monotonic() - started:.0f}s, "
-              f"best epoch {history.best_epoch}")
-        if out:
-            save_checkpoint(model, out / f"{variant}.ckpt")
-
-        ranked = _predictions(model, test_examples, max(k_values))
-        per_k = {}
-        for k in k_values:
-            preds = {movie: tags[:k] for movie, tags in ranked.items()}
-            report = evaluate_predictions(preds, truths, tag_vocab, k,
-                                          metadata={"variant": variant, "seed": seed})
-            per_k[k] = report
-            print(f"k={k:>2}  {report.summary_line()}")
-            if out:
-                (out / f"{variant}_metrics_k{k}.json").write_text(report.to_json(), encoding="utf-8")
-        results[variant] = per_k
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(out_dir or scratch)
+        results = {}
+        for variant in VARIANTS:
+            run_dir = root / variant
+            print(f"\n=== {variant}: training (this is the slow part) ===")
+            _tagflow("train", "--corpus", corpus_path, "--lexicon", lexicon_path,
+                     "--variant", variant, "--seed", seed, "--out", run_dir)
+            _tagflow("evaluate", "--checkpoint", run_dir / "model.ckpt", "--corpus", corpus_path,
+                     "--lexicon", lexicon_path, "--k", ",".join(map(str, k_values)), "--out", run_dir)
+            results[variant] = {
+                k: MetricsReport.from_json((run_dir / f"metrics_k{k}.json").read_text(encoding="utf-8"))
+                for k in k_values
+            }
 
     flow_tl = results["cnn_fe"][5].tags_learned
     weighted_tl = results["cnn_cw"][5].tags_learned

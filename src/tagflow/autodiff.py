@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
-
 _TAPES: list["Tape"] = []
 
 
@@ -103,17 +101,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other, self.dtype))
 
     def __mul__(self, other):
         return mul(self, _lift(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self.dtype), self)
 
     def __neg__(self):
         return mul(self, _lift(-1.0, self.dtype))
@@ -471,8 +463,3 @@ def gradcheck(fn, params, rng=None, samples=6, h=1e-3, rtol=1e-4, atol=1e-6):
                     f"analytic {ana.flat[i]:.8g} vs numeric {numeric:.8g}"
                 )
     return worst
-
-
-def assert_all_finite(arr, what):
-    if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values in {what}")

@@ -18,6 +18,7 @@ Arrays are stored as float32 regardless of the in-memory precision.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -49,11 +50,35 @@ def save_checkpoint(model, path):
         "arrays": manifest,
     }
     meta_bytes = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, len(meta_bytes)))
-        f.write(meta_bytes)
-        for name, tensor in params.items():
-            f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    # write beside the target and rename over it, so a failed save leaves
+    # any earlier checkpoint at ``path`` intact
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_HEADER.pack(MAGIC, VERSION, len(meta_bytes)))
+            f.write(meta_bytes)
+            for tensor in params.values():
+                f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _manifest(path, meta):
+    """The array manifest, after checking the metadata keys the loader reads."""
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise DataError(f"{path}: checkpoint metadata lacks a 'config' object")
+    manifest = meta.get("arrays")
+    if not isinstance(manifest, list):
+        raise DataError(f"{path}: checkpoint metadata lacks an 'arrays' list")
+    for i, entry in enumerate(manifest):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(d, int) and d >= 0 for d in entry["shape"])):
+            raise DataError(f"{path}: array entry {i} needs a string 'name' and an integer 'shape' list")
+    return manifest
 
 
 def load_checkpoint(path, dtype=np.float32):
@@ -79,10 +104,10 @@ def load_checkpoint(path, dtype=np.float32):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint metadata: {e}") from None
 
+    manifest = _manifest(path, meta)
     config = ModelConfig.from_dict(meta["config"])
     model = TagModel(config, dtype=dtype)
     params = model.parameters()
-    manifest = meta["arrays"]
     names = [entry["name"] for entry in manifest]
     if set(names) != set(params):
         missing = sorted(set(params) - set(names))

@@ -34,7 +34,6 @@ from .corpus import (
 )
 from .emotion import DEFAULT_SEGMENTS, emotion_flow, flow_to_csv, load_lexicon
 from .errors import ConfigError, DataError, NumericError
-from .layers import compute_class_weights
 from .metrics import (
     MetricsReport,
     baseline_most_frequent,
@@ -238,6 +237,20 @@ def _load_model(args):
     return model
 
 
+def _read_corpus(path, need=()):
+    """Parse the corpus once; return its (train, test) records.
+
+    Raises DataError when a split named in ``need`` has no records.
+    """
+    with _stage("corpus"):
+        records = load_corpus(path)
+        splits = {split: [r for r in records if r.split is split] for split in Split}
+        for split in need:
+            if not splits[split]:
+                raise DataError(f"corpus has no {split.value} records")
+    return splits[Split.TRAIN], splits[Split.TEST]
+
+
 def _maybe_lexicon(model, args):
     if not model.config.uses_flow:
         return None
@@ -263,11 +276,8 @@ def cmd_train(args):
         with _stage("lexicon"):
             lexicon = load_lexicon(lexicon_path)
 
+    train_records, _ = _read_corpus(corpus_path, need=(Split.TRAIN,))
     with _stage("corpus"):
-        records = load_corpus(corpus_path)
-        train_records = [r for r in records if r.split is Split.TRAIN]
-        if not train_records:
-            raise DataError("corpus has no training records")
         stopwords = load_stopwords()
         vocab = build_vocabulary(train_records, max_words=run.model.vocab_size, stopwords=stopwords)
         tag_vocab = TagVocabulary.from_records(train_records)
@@ -293,25 +303,14 @@ def cmd_train(args):
             coverage = load_pretrained_embeddings(run.embeddings, vocab, model.embedding)
             print(f"pretrained embedding coverage: {coverage:.1%}")
 
-    class_weights = None
-    use_cw = run.train.use_class_weights
-    if use_cw or (use_cw is None and run.model.uses_class_weights):
-        # count over the full training split, before the validation carve-out,
-        # so a rare tag cannot lose its only record to the validation set
-        with _stage("class-weights"):
-            class_weights = compute_class_weights(examples, tag_vocab)
-        model.class_weights = class_weights
-
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w", encoding="utf-8") as f:
         json.dump(run.to_dict(), f, indent=2)
         f.write("\n")
 
     with _stage("train"):
-        model, history = train(
-            model, train_examples, val_examples, run.train,
-            class_weights=class_weights, log_path=out_dir / "history.jsonl",
-        )
+        model, history = train(model, train_examples, val_examples, run.train,
+                               log_path=out_dir / "history.jsonl")
 
     with _stage("checkpoint"):
         save_checkpoint(model, out_dir / "model.ckpt")
@@ -344,35 +343,25 @@ def cmd_predict(args):
     return 0
 
 
-def _encode_test_set(model, corpus_path, lexicon):
-    records = load_corpus(corpus_path)
-    test_records = [r for r in records if r.split is Split.TEST]
-    if not test_records:
-        raise DataError("corpus has no test records")
-    stopwords = load_stopwords()
-    truths = {r.movie_id: set(r.tags) for r in test_records}
-    synopses = {r.movie_id: r.synopsis for r in test_records}
-    examples = encode_records(
-        test_records, model.vocab, model.tag_vocab, stopwords,
-        lexicon=lexicon, max_len=model.config.seq_len, n_segments=model.config.n_segments,
-    )
-    return test_records, examples, truths, synopses
-
-
 def cmd_evaluate(args):
     model = _load_model(args)
     lexicon = _maybe_lexicon(model, args)
     corpus_path = _require(getattr(args, "corpus", None), "--corpus", "to evaluate")
     ks = _parse_k_list(args.k)
     out_dir = Path(args.out) if getattr(args, "out", None) else None
+    _, test_records = _read_corpus(corpus_path, need=(Split.TEST,))
     with _stage("corpus"):
-        test_records, examples, truths, _ = _encode_test_set(model, corpus_path, lexicon)
+        truths = {r.movie_id: set(r.tags) for r in test_records}
+        examples = encode_records(
+            test_records, model.vocab, model.tag_vocab, load_stopwords(),
+            lexicon=lexicon, max_len=model.config.seq_len, n_segments=model.config.n_segments,
+        )
 
     with _stage("evaluate"):
         prob_rows = {}
-        for record, example in zip(test_records, examples):
+        for example in examples:
             flow = example.flow if model.config.uses_flow else None
-            prob_rows[record.movie_id] = model.forward(example.tokens, flow).data
+            prob_rows[example.movie_id] = model.forward(example.tokens, flow).data
         mean_kl = evaluate_loss(model, examples)
         for k in ks:
             preds = {
@@ -404,15 +393,10 @@ def cmd_baselines(args):
     ks = _parse_k_list(args.k)
     seed = args.seed if args.seed is not None else 0
     out_dir = Path(args.out) if getattr(args, "out", None) else None
-    with _stage("corpus"):
-        records = load_corpus(corpus_path)
-        train_records = [r for r in records if r.split is Split.TRAIN]
-        test_records = [r for r in records if r.split is Split.TEST]
-        if not train_records or not test_records:
-            raise DataError("baselines need both train and test records")
-        tag_vocab = TagVocabulary.from_records(train_records)
-        truths = {r.movie_id: set(r.tags) for r in test_records}
-        movie_ids = [r.movie_id for r in test_records]
+    train_records, test_records = _read_corpus(corpus_path, need=(Split.TRAIN, Split.TEST))
+    tag_vocab = TagVocabulary.from_records(train_records)
+    truths = {r.movie_id: set(r.tags) for r in test_records}
+    movie_ids = [r.movie_id for r in test_records]
 
     for k in ks:
         frequent = baseline_most_frequent(train_records, tag_vocab, k, movie_ids)
@@ -436,11 +420,9 @@ def cmd_compare(args):
     with _stage("predictions"):
         preds_a = _load_prediction_file(args.preds_a)
         preds_b = _load_prediction_file(args.preds_b)
-    with _stage("corpus"):
-        records = load_corpus(corpus_path)
-        train_records = [r for r in records if r.split is Split.TRAIN]
-        tag_vocab = TagVocabulary.from_records(train_records)
-        truths = {r.movie_id: set(r.tags) for r in records}
+    train_records, test_records = _read_corpus(corpus_path)
+    tag_vocab = TagVocabulary.from_records(train_records)
+    truths = {r.movie_id: set(r.tags) for r in train_records + test_records}
 
     with _stage("compare"):
         overlaps, bands = prediction_overlap(preds_a, preds_b)

@@ -75,11 +75,10 @@ def preprocess(text, stopwords):
     return [t for t in tokenize(text) if t not in stopwords]
 
 
-def load_corpus(path, fmt="mpst"):
+def load_corpus(path):
     """Parse a corpus file into records; fails fast with the offending row number."""
-    if fmt != "mpst":
-        raise DataError(f"unknown corpus format '{fmt}'")
     records = []
+    first_row = {}
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
@@ -105,8 +104,12 @@ def load_corpus(path, fmt="mpst"):
             split_raw = row[fields["split"]].strip().lower()
             if split_raw not in _SPLIT_ALIASES:
                 raise DataError(f"{path}: row {rownum}: unknown split '{split_raw}'")
+            movie_id = row[id_col].strip()
+            if movie_id in first_row:
+                raise DataError(f"{path}: row {rownum}: movie_id '{movie_id}' repeats row {first_row[movie_id]}")
+            first_row[movie_id] = rownum
             records.append(SynopsisRecord(
-                movie_id=row[id_col].strip(),
+                movie_id=movie_id,
                 title=row[fields["title"]],
                 synopsis=synopsis,
                 tags=tags,

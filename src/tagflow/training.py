@@ -32,8 +32,6 @@ class TrainConfig:
     patience: int = PATIENCE
     lr: float = 1e-4
     seed: int = 0
-    #: None resolves from the model variant at train time.
-    use_class_weights: bool | None = None
 
     def __post_init__(self):
         self.validate()
@@ -109,36 +107,34 @@ def evaluate_loss(model, examples, class_weights=None):
     return total / len(examples)
 
 
-def _resolve_class_weights(model, train_examples, config, class_weights):
-    use = config.use_class_weights
-    if use is None:
-        use = model.config.uses_class_weights
-    if not use:
-        return None
-    if class_weights is not None:
-        return class_weights
-    if model.tag_vocab is None:
-        raise ConfigError(
-            "class-weighted training needs explicit class weights or a model with a tag vocabulary"
-        )
-    return compute_class_weights(train_examples, model.tag_vocab)
-
-
 def train(model, train_examples, val_examples, config, class_weights=None, log_path=None):
     """Optimize the model; return it with its best-validation-epoch weights.
 
     Each epoch shuffles the training set, steps RMSprop once per batch on
-    the mean (optionally class-weighted) KL, then measures validation
-    loss.  Training stops after `patience + 1` consecutive epochs without
-    a strict validation improvement, or at `max_epochs`.  The parameters
-    snapshotted at the best epoch are restored before returning.
+    the mean KL, then measures validation loss.  Training stops after
+    `patience + 1` consecutive epochs without a strict validation
+    improvement, or at `max_epochs`.  The parameters snapshotted at the
+    best epoch are restored before returning.
+
+    The KL is class-weighted exactly when the model's variant is.  The
+    weights are ``class_weights`` when given, else tag counts over the
+    whole training split (``train_examples + val_examples``), so a rare
+    tag cannot lose its only example to the validation set.
     """
     if not train_examples or not val_examples:
         raise ValueError("train requires non-empty train and validation sets")
     config.validate()
-    active_weights = _resolve_class_weights(model, train_examples, config, class_weights)
-    model.class_weights = active_weights if active_weights is not None else model.class_weights
-    weight_vec = active_weights.weights if active_weights is not None else None
+    if not model.config.uses_class_weights:
+        class_weights = None
+    else:
+        if class_weights is None:
+            if model.tag_vocab is None:
+                raise ConfigError(
+                    "class-weighted training needs explicit class weights or a model with a tag vocabulary"
+                )
+            class_weights = compute_class_weights(train_examples + val_examples, model.tag_vocab)
+        model.class_weights = class_weights
+    weight_vec = class_weights.weights if class_weights is not None else None
 
     params = model.parameters()
     optimizer = RmsProp(params, lr=config.lr)
@@ -173,7 +169,7 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
                 raise NumericError(f"epoch {epoch}, batch {batch_no}: {e}") from None
             model.enforce_constraints()
 
-        val_loss = evaluate_loss(model, val_examples, active_weights)
+        val_loss = evaluate_loss(model, val_examples, class_weights)
         history.epochs.append(EpochStats(
             epoch=epoch,
             train_loss=epoch_loss / n,

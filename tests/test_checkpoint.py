@@ -11,6 +11,7 @@ import pytest
 
 from test_model import random_inputs, small_config
 from tagflow.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from tagflow.cli import main
 from tagflow.corpus import TagVocabulary, Vocabulary
 from tagflow.errors import DataError
 from tagflow.layers import ClassWeights
@@ -90,6 +91,25 @@ class TestRoundTrip:
         assert table.data.dtype == np.float64
         npt.assert_array_equal(table.data.astype(np.float32), model.embedding.table.data)
 
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path):
+        class Unwritable:
+            shape = (1,)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        model = build_fitted_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        params = model.parameters()
+        list(params.values())[-1].data = Unwritable()
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).config == model.config
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_save_is_deterministic(self, tmp_path):
         model = build_fitted_model()
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -160,6 +180,21 @@ class TestCorruptionDetection:
         rewrite_metadata(saved, mutate)
         with pytest.raises(DataError, match="shape"):
             load_checkpoint(saved)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda meta: meta.pop("config"),
+        lambda meta: meta.pop("arrays"),
+        lambda meta: meta["arrays"][0].pop("name"),
+        lambda meta: meta["arrays"][0].pop("shape"),
+        lambda meta: meta.update(config=[]),
+        lambda meta: meta.update(arrays={}),
+        lambda meta: meta["arrays"][0].update(shape="5x4"),
+    ], ids=["no-config", "no-arrays", "no-name", "no-shape",
+            "config-list", "arrays-dict", "shape-string"])
+    def test_missing_or_mistyped_metadata_exits_2(self, saved, mutate, capsys):
+        rewrite_metadata(saved, mutate)
+        assert main(["predict", "--checkpoint", str(saved), "--k", "1", "--text", "x"]) == 2
+        assert str(saved) in capsys.readouterr().err
 
     def test_config_key_smuggling_rejected(self, saved):
         def mutate(meta):

@@ -89,10 +89,14 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="plot_synopsis"):
             load_corpus(path)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = write_corpus_csv(tmp_path / "fmt.csv", [make_record("m1", "plot", ["cult"])])
-        with pytest.raises(DataError, match="format"):
-            load_corpus(path, fmt="parquet")
+    def test_repeated_movie_id_names_both_rows(self, tmp_path):
+        path = write_corpus_csv(tmp_path / "dup.csv", [
+            make_record("t1", "first plot", ["cult"], split=Split.TEST),
+            make_record("t2", "second plot", ["cult"], split=Split.TEST),
+            make_record("t1", "third plot", ["noir"], split=Split.TEST),
+        ])
+        with pytest.raises(DataError, match=r"dup\.csv: row 4: movie_id 't1' repeats row 2"):
+            load_corpus(path)
 
 
 class TestTokenizeAndPreprocess:

@@ -239,11 +239,12 @@ class TestClassWeightResolution:
             train(model, examples, examples, quick_train_config(max_epochs=1))
 
     def test_weighted_variant_counts_tags_from_examples(self):
+        # counted over train and validation together: the whole training split
         config = tiny_config(variant="cnn_cw")
         model = build_model(config)
         model.tag_vocab = TagVocabulary(["t0", "t1", "t2"])
         examples = make_examples(config, 6, seed=4)
-        trained, _ = train(model, examples, examples, quick_train_config(max_epochs=1))
+        trained, _ = train(model, examples[:4], examples[4:], quick_train_config(max_epochs=1))
         expected = [0, 0, 0]
         for e in examples:
             for tag in e.tags:
@@ -260,22 +261,14 @@ class TestClassWeightResolution:
                            class_weights=cw)
         assert trained.class_weights is cw
 
-    def test_override_flag_disables_weighting(self):
-        config = tiny_config(variant="cnn_cw")
-        model = build_model(config)
-        examples = make_examples(config, 4)
-        trained, _ = train(model, examples, examples,
-                           quick_train_config(max_epochs=1, use_class_weights=False))
-        assert trained.class_weights is None
-
-    def test_override_flag_enables_weighting_for_plain_variant(self):
+    def test_plain_variant_ignores_explicit_weights(self):
         config = tiny_config()
         model = build_model(config)
-        model.tag_vocab = TagVocabulary(["t0", "t1", "t2"])
-        examples = make_examples(config, 6, seed=4)
-        trained, _ = train(model, examples, examples,
-                           quick_train_config(max_epochs=1, use_class_weights=True))
-        assert trained.class_weights is not None
+        examples = make_examples(config, 4)
+        cw = ClassWeights(n_examples=9, tag_counts=(3, 3, 3))
+        trained, _ = train(model, examples, examples, quick_train_config(max_epochs=1),
+                           class_weights=cw)
+        assert trained.class_weights is None
 
 
 class TestHistoryAndConfig:
@@ -316,5 +309,5 @@ class TestHistoryAndConfig:
             TrainConfig.from_dict({"lr": 0.1, "momentum": 0.9})
 
     def test_dict_round_trip(self):
-        config = quick_train_config(lr=5e-4, use_class_weights=True)
+        config = quick_train_config(lr=5e-4, patience=0)
         assert TrainConfig.from_dict(config.to_dict()) == config
