@@ -135,6 +135,11 @@ def backward(loss):
     loss.tape.backward(loss)
 
 
+def recording(*tensors):
+    """Whether an active tape would record a primitive over ``tensors``."""
+    return _active_tape() is not None and any(t.requires_grad for t in tensors)
+
+
 def _grad_buffer(t):
     if t._grad is None:
         t._grad = np.zeros_like(t.data)
@@ -319,9 +324,10 @@ def reshape(x, shape):
 
 
 def max_over_axis(x, axis):
-    idx = np.argmax(x.data, axis=axis)
-    keep = np.expand_dims(idx, axis)
-    out_data = np.take_along_axis(x.data, keep, axis=axis).squeeze(axis)
+    out_data = np.asarray(x.data.max(axis=axis))
+    # the first position equal to the max; a NaN max matches nothing and
+    # propagates through ``out_data`` alone
+    keep = np.expand_dims((x.data == np.expand_dims(out_data, axis)).argmax(axis=axis), axis)
 
     def bwd(g):
         # gradient routes to the first maximum along the axis

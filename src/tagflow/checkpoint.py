@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .corpus import Vocabulary, TagVocabulary
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .layers import ClassWeights
 from .model import ModelConfig, TagModel
 
@@ -81,6 +81,28 @@ def _manifest(path, meta):
     return manifest
 
 
+def _string_list(path, meta, key):
+    """``meta[key]``: None or a list of strings."""
+    value = meta.get(key)
+    if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise DataError(f"{path}: checkpoint '{key}' must be a list of strings")
+    return value
+
+
+def _class_weights(path, meta):
+    """The stored ClassWeights, or None; counts must be positive integers."""
+    cw = meta.get("class_weights")
+    if cw is None:
+        return None
+    if not (isinstance(cw, dict) and isinstance(cw.get("tag_counts"), list)
+            and all(type(v) is int and v >= 1 for v in [cw.get("n_examples"), *cw["tag_counts"]])):
+        raise DataError(
+            f"{path}: checkpoint 'class_weights' needs a positive integer 'n_examples' "
+            f"and a list of positive integer 'tag_counts'"
+        )
+    return ClassWeights(n_examples=cw["n_examples"], tag_counts=tuple(cw["tag_counts"]))
+
+
 def load_checkpoint(path, dtype=np.float32):
     """Rebuild a model whose forward outputs match the saved one bit-for-bit.
 
@@ -105,7 +127,16 @@ def load_checkpoint(path, dtype=np.float32):
         raise DataError(f"{path}: corrupt checkpoint metadata: {e}") from None
 
     manifest = _manifest(path, meta)
-    config = ModelConfig.from_dict(meta["config"])
+    vocab = _string_list(path, meta, "vocab")
+    tag_vocab = _string_list(path, meta, "tag_vocab")
+    class_weights = _class_weights(path, meta)
+    stored = meta["config"]
+    try:
+        config = ModelConfig.from_dict(stored)
+    except (ConfigError, TypeError, ValueError) as e:
+        if not set(stored) <= set(ModelConfig.__dataclass_fields__):
+            raise ConfigError(f"{path}: {e}") from None  # unknown keys stay config errors
+        raise DataError(f"{path}: malformed model config: {e}") from None
     model = TagModel(config, dtype=dtype)
     params = model.parameters()
     names = [entry["name"] for entry in manifest]
@@ -131,11 +162,9 @@ def load_checkpoint(path, dtype=np.float32):
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after the last array")
 
-    if meta.get("vocab") is not None:
-        model.vocab = Vocabulary(meta["vocab"])
-    if meta.get("tag_vocab") is not None:
-        model.tag_vocab = TagVocabulary(meta["tag_vocab"])
-    cw = meta.get("class_weights")
-    if cw is not None:
-        model.class_weights = ClassWeights(n_examples=cw["n_examples"], tag_counts=tuple(cw["tag_counts"]))
+    if vocab is not None:
+        model.vocab = Vocabulary(vocab)
+    if tag_vocab is not None:
+        model.tag_vocab = TagVocabulary(tag_vocab)
+    model.class_weights = class_weights
     return model

@@ -75,6 +75,8 @@ class ModelConfig:
         for name, value in positive.items():
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.filter_sizes or any(c < 1 for c in self.filter_sizes):
             raise ConfigError(f"filter_sizes must be positive integers, got {self.filter_sizes!r}")
         if self.seq_len < max(self.filter_sizes):

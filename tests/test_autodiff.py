@@ -94,6 +94,18 @@ class TestForwardValues:
         npt.assert_array_equal(out.data, expected)
         assert out.data.shape == (4,)
 
+    def test_max_over_axis_ties_send_gradient_to_first_and_nan_propagates(self):
+        x = Tensor(np.array([[1.0, 2.0, np.nan],
+                             [3.0, 2.0, 0.0],
+                             [3.0, 0.0, 5.0]]), requires_grad=True, dtype=np.float64)
+        with Tape():
+            out = max_over_axis(x, axis=0)
+            loss = sum_(mul(out, constant([10.0, 20.0, 30.0])))
+        npt.assert_array_equal(out.data[:2], [3.0, 2.0])
+        assert np.isnan(out.data[2])
+        backward(loss)
+        npt.assert_array_equal(x.grad[:, :2], [[0.0, 20.0], [10.0, 0.0], [0.0, 0.0]])
+
     def test_sigmoid_stable_at_extremes(self):
         out = sigmoid(constant([-1000.0, 0.0, 1000.0]))
         npt.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)

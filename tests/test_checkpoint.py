@@ -189,8 +189,24 @@ class TestCorruptionDetection:
         lambda meta: meta.update(config=[]),
         lambda meta: meta.update(arrays={}),
         lambda meta: meta["arrays"][0].update(shape="5x4"),
+        lambda meta: meta.update(vocab=5),
+        lambda meta: meta.update(tag_vocab="xy"),
+        lambda meta: meta.update(tag_vocab=["a", 1]),
+        lambda meta: meta["class_weights"].pop("tag_counts"),
+        lambda meta: meta["class_weights"]["tag_counts"].__setitem__(0, 0),
+        lambda meta: meta["class_weights"].update(n_examples="40"),
+        lambda meta: meta.update(class_weights=[40]),
+        lambda meta: meta["config"].update(filter_sizes=5),
+        lambda meta: meta["config"].update(filter_sizes=["2"]),
+        lambda meta: meta["config"].update(dropout="0.4"),
+        lambda meta: meta["config"].update(vocab_size=0),
+        lambda meta: meta["config"].update(seed="x"),
     ], ids=["no-config", "no-arrays", "no-name", "no-shape",
-            "config-list", "arrays-dict", "shape-string"])
+            "config-list", "arrays-dict", "shape-string",
+            "vocab-int", "tag-vocab-string", "tag-vocab-mixed",
+            "no-tag-counts", "zero-tag-count", "n-examples-string", "class-weights-list",
+            "filter-sizes-int", "filter-sizes-strings", "dropout-string", "vocab-size-zero",
+            "seed-string"])
     def test_missing_or_mistyped_metadata_exits_2(self, saved, mutate, capsys):
         rewrite_metadata(saved, mutate)
         assert main(["predict", "--checkpoint", str(saved), "--k", "1", "--text", "x"]) == 2

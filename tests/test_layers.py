@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import make_record
-from tagflow.autodiff import Tensor, constant, gradcheck, kl_divergence, sum_
+from tagflow.autodiff import Tape, Tensor, constant, gradcheck, kl_divergence, sum_
 from tagflow.corpus import TagVocabulary
 from tagflow.errors import DataError
 from tagflow.layers import (
@@ -123,6 +123,58 @@ class TestConvBank:
         x = constant(rng.standard_normal((7, 4)))
         params = list(bank.parameters().values())
         gradcheck(lambda: sum_(conv_bank_forward(x, bank)), params, np.random.default_rng(0))
+
+    # (real rows of 12, sign of real rows and weights: +1, -1 or 0 for mixed)
+    @pytest.mark.parametrize("n_real, sign", [
+        (12, 0),   # no padding
+        (12, -1),  # no padding, every window scores < 0: no zero candidate
+        (10, 0),   # 2 pad rows: fewer than c - 1 for width 5
+        (5, -1),   # every window touching a real row scores < 0: relu(b) wins
+        (5, 1),    # every window touching a real row scores > 0
+        (0, 0),    # all padding
+        (3, 0),    # fewer real rows than the widest filter
+    ], ids=["no-padding", "no-padding-negative", "short-padding", "long-padding-negative",
+            "long-padding-positive", "all-padding", "shorter-than-widest"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tape_free_path_matches_taped_graph(self, n_real, sign, dtype):
+        rng = np.random.default_rng(7)
+        bank = ConvBank((2, 3, 5), 6, 4, rng, dtype=dtype)
+        for b in bank.biases.values():
+            b.data[:] = rng.normal(scale=3.0, size=(1, 6))
+        x = np.zeros((12, 4), dtype=dtype)
+        real = rng.standard_normal((n_real, 4))
+        if sign:
+            real = np.abs(real) + 0.1
+            for w in bank.weights.values():
+                w.data[:] = sign * np.abs(w.data)
+        x[12 - n_real:] = real
+        with Tape() as tape:
+            taped = conv_bank_forward(constant(x, dtype=dtype), bank)
+        assert len(tape) > 0
+        free = conv_bank_forward(constant(x, dtype=dtype), bank)
+        assert free.tape is None and free.dtype == dtype
+        if dtype == np.float64:
+            npt.assert_allclose(free.data, taped.data, rtol=0, atol=1e-12)
+        else:
+            npt.assert_allclose(free.data, taped.data, rtol=1e-6, atol=0)
+        if sign < 0:
+            relu_b = np.maximum(np.concatenate([bank.biases[c].data[0] for c in bank.filter_sizes]), 0)
+            if n_real < 12:
+                npt.assert_array_equal(free.data, relu_b)
+            else:
+                assert (free.data <= relu_b).all() and (free.data < relu_b).any()
+
+    def test_tape_free_path_records_nothing_under_an_active_tape(self):
+        rng = np.random.default_rng(8)
+        bank = ConvBank((2, 3), 4, 5, rng)
+        x = constant(rng.standard_normal((9, 5)).astype(np.float32))
+        expected = conv_bank_forward(x, bank).data
+        for p in bank.parameters().values():
+            p.requires_grad = False
+        with Tape() as tape:
+            out = conv_bank_forward(x, bank)
+        assert len(tape) == 0 and out.tape is None
+        npt.assert_array_equal(out.data, expected)
 
 
 class TestLstmCell:
