@@ -91,9 +91,6 @@ class Tensor:
     def zero_grad(self):
         self._grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -101,14 +98,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other, self.dtype))
 
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.dtype))
-
     def __mul__(self, other):
         return mul(self, _lift(other, self.dtype))
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0, self.dtype))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -204,21 +195,6 @@ def add(a, b):
     return _make(out_data, (a, b), bwd)
 
 
-def sub(a, b):
-    try:
-        out_data = a.data - b.data
-    except ValueError:
-        raise ValueError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}") from None
-
-    def bwd(g):
-        if a.requires_grad:
-            _grad_buffer(a)[...] += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            _grad_buffer(b)[...] -= _unbroadcast(g, b.data.shape)
-
-    return _make(out_data, (a, b), bwd)
-
-
 def mul(a, b):
     try:
         out_data = a.data * b.data
@@ -262,26 +238,6 @@ def relu(x):
     def bwd(g):
         if x.requires_grad:
             _grad_buffer(x)[...] += g * (x.data > 0)
-
-    return _make(out_data, (x,), bwd)
-
-
-def log(x):
-    out_data = np.log(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            _grad_buffer(x)[...] += g / x.data
-
-    return _make(out_data, (x,), bwd)
-
-
-def clamp_min(x, lo):
-    out_data = np.maximum(x.data, lo)
-
-    def bwd(g):
-        if x.requires_grad:
-            _grad_buffer(x)[...] += g * (x.data > lo)
 
     return _make(out_data, (x,), bwd)
 
@@ -403,11 +359,13 @@ def dropout(x, p, rng):
 # ---------------------------------------------------------------------------
 
 def kl_divergence(true_dist, pred_dist, weights=None, eps=1e-8):
-    """KL(true || pred) with optional per-component weights.
+    """KL(true || pred) with optional per-component weights, as one tape node.
 
     ``sum_t w_t * true_t * log(true_t / pred_t)`` with ``0 * log 0 == 0`` and
     predictions clamped to at least ``eps`` before the log.  Differentiable
     with respect to ``pred_dist``; ``true_dist`` is treated as a constant.
+    A component with ``pred_t <= eps`` sits on the clamp and gets exactly
+    zero gradient.
     """
     t = true_dist.data if isinstance(true_dist, Tensor) else np.asarray(true_dist)
     pred = pred_dist if isinstance(pred_dist, Tensor) else constant(pred_dist)
@@ -423,8 +381,14 @@ def kl_divergence(true_dist, pred_dist, weights=None, eps=1e-8):
     wt = (w * t).astype(p.dtype)
     support = t > 0
     const_term = float((wt[support] * np.log(t[support])).sum())
-    cross = sum_(mul(constant(wt, dtype=p.dtype), log(clamp_min(pred, eps))))
-    return constant(const_term, dtype=p.dtype) - cross
+    clamped = np.maximum(p, eps)
+    out_data = np.asarray(const_term, dtype=p.dtype) - np.asarray((wt * np.log(clamped)).sum())
+
+    def bwd(g):
+        if pred.requires_grad:
+            _grad_buffer(pred)[...] += ((-g * wt) / clamped) * (p > eps)
+
+    return _make(out_data, (pred,), bwd)
 
 
 # ---------------------------------------------------------------------------

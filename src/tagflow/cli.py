@@ -42,7 +42,7 @@ from .metrics import (
     prediction_overlap,
     recall_delta,
 )
-from .model import ModelConfig, build_model, load_pretrained_embeddings, predict_top_k
+from .model import VARIANTS, ModelConfig, build_model, load_pretrained_embeddings, predict_top_k
 from .training import TrainConfig, evaluate_loss, train
 
 
@@ -127,8 +127,10 @@ def _resolve_run_config(args):
     if getattr(args, "seed", None) is not None:
         model_doc["seed"] = args.seed
         train_doc["seed"] = args.seed
-    model_config = ModelConfig.from_dict(model_doc)
-    train_config = TrainConfig.from_dict(train_doc)
+    with _stage("model"):
+        model_config = ModelConfig.from_dict(model_doc)
+    with _stage("train"):
+        train_config = TrainConfig.from_dict(train_doc)
     return RunConfig(
         model=model_config,
         train=train_config,
@@ -180,9 +182,10 @@ def _write_or_print(text, out_path):
         sys.stdout.write(text)
 
 
-def _prediction_lines(movie_id, ranked, probs_by_tag):
+def _prediction_lines(movie_id, ranked, probs, tag_vocab):
+    """One ``movie_id<TAB>rank<TAB>tag<TAB>probability`` line per ranked tag."""
     return [
-        f"{movie_id}\t{rank}\t{tag}\t{probs_by_tag[tag]:.6f}"
+        f"{movie_id}\t{rank}\t{tag}\t{float(probs[tag_vocab.index(tag)]):.6f}"
         for rank, tag in enumerate(ranked, start=1)
     ]
 
@@ -337,8 +340,7 @@ def cmd_predict(args):
             tokens, flow = _model_inputs(model, text, stopwords, lexicon)
             probs = model.forward(tokens, flow).data
             ranked = predict_top_k(probs, k, model.tag_vocab)
-            probs_by_tag = {tag: float(probs[model.tag_vocab.index(tag)]) for tag in ranked}
-            lines.extend(_prediction_lines(movie_id, ranked, probs_by_tag))
+            lines.extend(_prediction_lines(movie_id, ranked, probs, model.tag_vocab))
     _write_or_print("\n".join(lines) + "\n", getattr(args, "out", None))
     return 0
 
@@ -380,9 +382,7 @@ def cmd_evaluate(args):
                     f.write(report.to_json())
                 pred_lines = []
                 for movie, ranked in preds.items():
-                    probs = prob_rows[movie]
-                    probs_by_tag = {t: float(probs[model.tag_vocab.index(t)]) for t in ranked}
-                    pred_lines.extend(_prediction_lines(movie, ranked, probs_by_tag))
+                    pred_lines.extend(_prediction_lines(movie, ranked, prob_rows[movie], model.tag_vocab))
                 with open(out_dir / f"predictions_k{k}.tsv", "w", encoding="utf-8") as f:
                     f.write("\n".join(pred_lines) + "\n")
     return 0
@@ -467,29 +467,28 @@ def cmd_emotion_flow(args):
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *flags):
+def _add_common(command, *flags):
     if "config" in flags:
-        sub.add_argument("--config", help="JSON config file")
-        sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                         help="override one config key (e.g. model.lstm_units=8); repeatable")
+        command.add_argument("--config", help="JSON config file")
+        command.add_argument("--set", action="append", metavar="KEY=VALUE",
+                             help="override one config key (e.g. model.lstm_units=8); repeatable")
     if "corpus" in flags:
-        sub.add_argument("--corpus", help="delimiter-separated corpus file")
+        command.add_argument("--corpus", help="delimiter-separated corpus file")
     if "lexicon" in flags:
-        sub.add_argument("--lexicon", help="word-emotion association file")
+        command.add_argument("--lexicon", help="word-emotion association file")
     if "checkpoint" in flags:
-        sub.add_argument("--checkpoint", help="model checkpoint path")
+        command.add_argument("--checkpoint", help="model checkpoint path")
     if "variant" in flags:
-        sub.add_argument("--variant", help="model variant",
-                         choices=["cnn", "cnn_cw", "cnn_fe", "cnn_fe_pretrained"])
+        command.add_argument("--variant", help="model variant", choices=VARIANTS)
     if "k" in flags:
-        sub.add_argument("--k", default=None, help="top-k cutoff (or comma list)")
+        command.add_argument("--k", default=None, help="top-k cutoff (or comma list)")
     if "seed" in flags:
-        sub.add_argument("--seed", type=int, default=None, help="random seed")
+        command.add_argument("--seed", type=int, default=None, help="random seed")
     if "out" in flags:
-        sub.add_argument("--out", help="output file or directory")
+        command.add_argument("--out", help="output file or directory")
     if "input" in flags:
-        sub.add_argument("--text", help="one synopsis given inline")
-        sub.add_argument("--input", help="file of synopses (movie_id<TAB>text or one text per line)")
+        command.add_argument("--text", help="one synopsis given inline")
+        command.add_argument("--input", help="file of synopses (movie_id<TAB>text or one text per line)")
 
 
 def build_parser():

@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and config type checks.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-NumericError (and anything else) -> 3.
+``cli.main`` maps them onto exit codes: ConfigError -> 1, DataError -> 2,
+NumericError -> 3.  It also maps ValueError to 1 and OSError to 2, and
+lets every other exception propagate as a traceback.
 """
 
 
@@ -15,3 +16,26 @@ class DataError(Exception):
 
 class NumericError(Exception):
     """Non-finite values or other numeric failures at runtime."""
+
+
+def check_types(config, ints=(), numbers=(), int_tuples=()):
+    """Raise ConfigError naming the first field of ``config`` of the wrong type.
+
+    Fields in ``ints`` take an int, ``numbers`` an int or a float, and
+    ``int_tuples`` a tuple of ints; a bool counts as none of these.
+    """
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    for name in ints:
+        value = getattr(config, name)
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in numbers:
+        value = getattr(config, name)
+        if not (is_int(value) or isinstance(value, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+    for name in int_tuples:
+        value = getattr(config, name)
+        if not (isinstance(value, tuple) and all(is_int(v) for v in value)):
+            raise ConfigError(f"{name} must be a list of integers, got {value!r}")

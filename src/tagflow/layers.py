@@ -250,17 +250,15 @@ def bilstm_forward(flow, fwd_cell, bwd_cell):
     for t in range(n_steps):
         h, c = fwd_cell.step(rows[t], h, c)
         fwd_states.append(h)
-    fwd_final = h
 
     h, c = bwd_cell.initial_state()
     bwd_states = [None] * n_steps
     for t in reversed(range(n_steps)):
         h, c = bwd_cell.step(rows[t], h, c)
         bwd_states[t] = h
-    bwd_final = h
 
-    states = concat([concat(pair, axis=-1) for pair in zip(fwd_states, bwd_states)], axis=0)
-    final = concat([fwd_final, bwd_final], axis=-1)
+    states = concat([concat(fwd_states, axis=0), concat(bwd_states, axis=0)], axis=-1)
+    final = concat([fwd_states[-1], bwd_states[0]], axis=-1)
     return states, final
 
 

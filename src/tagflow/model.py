@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tensor, concat, dropout, reshape, softmax_last_axis
 from .corpus import OOV_INDEX, PAD_INDEX, SEQUENCE_LENGTH
 from .emotion import DEFAULT_SEGMENTS, EMOTIONS
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_types
 from .layers import (
     Attention,
     ConvBank,
@@ -60,22 +60,24 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.filter_sizes = tuple(self.filter_sizes)
-        self.dense_sizes = tuple(self.dense_sizes)
+        if isinstance(self.filter_sizes, list):
+            self.filter_sizes = tuple(self.filter_sizes)
+        if isinstance(self.dense_sizes, list):
+            self.dense_sizes = tuple(self.dense_sizes)
         self.validate()
 
     def validate(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}'; choose from {', '.join(VARIANTS)}")
-        positive = {
-            "vocab_size": self.vocab_size, "seq_len": self.seq_len, "embed_dim": self.embed_dim,
-            "filters_per_size": self.filters_per_size, "n_segments": self.n_segments,
-            "lstm_units": self.lstm_units, "n_tags": self.n_tags,
-        }
-        for name, value in positive.items():
-            if not isinstance(value, int) or value < 1:
+        positive = ("vocab_size", "seq_len", "embed_dim", "filters_per_size", "n_segments",
+                    "lstm_units", "n_tags")
+        check_types(self, ints=positive + ("seed",), numbers=("dropout", "lr"),
+                    int_tuples=("filter_sizes", "dense_sizes"))
+        for name in positive:
+            value = getattr(self, name)
+            if value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.filter_sizes or any(c < 1 for c in self.filter_sizes):
             raise ConfigError(f"filter_sizes must be positive integers, got {self.filter_sizes!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import Tape, backward, kl_divergence
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_types
 from .layers import compute_class_weights
 from .optim import RmsProp
 
@@ -37,6 +37,7 @@ class TrainConfig:
         self.validate()
 
     def validate(self):
+        check_types(self, ints=("batch_size", "max_epochs", "patience", "seed"), numbers=("lr",))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -47,6 +48,8 @@ class TrainConfig:
             )
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self):
         return asdict(self)

@@ -1,7 +1,7 @@
 """Engine tests: primitive behavior, gradient oracles, loss contracts.
 
 Every gradient is checked against central finite differences in 64-bit
-mode.  Inputs for kinked primitives (relu, max, clamp) are constructed
+mode.  Inputs for kinked primitives (relu, max) are constructed
 away from their kinks so the numeric oracle is valid.
 """
 
@@ -16,14 +16,12 @@ from tagflow.autodiff import (
     Tensor,
     add,
     backward,
-    clamp_min,
     concat,
     constant,
     dropout,
     embedding_gather,
     gradcheck,
     kl_divergence,
-    log,
     matmul,
     max_over_axis,
     mul,
@@ -32,7 +30,6 @@ from tagflow.autodiff import (
     sigmoid,
     slice_,
     softmax_last_axis,
-    sub,
     sum_,
     tanh,
 )
@@ -168,11 +165,6 @@ class TestFiniteDifferenceOracle:
         a, b = _p(rng, 3, 4), _p(rng, 1, 4)
         gradcheck(lambda: sum_(mul(add(a, b), add(a, b))), [a, b], samples=8)
 
-    def test_sub(self):
-        rng = np.random.default_rng(5)
-        a, b = _p(rng, 2, 3), _p(rng, 2, 3)
-        gradcheck(lambda: sum_(mul(sub(a, b), sub(a, b))), [a, b], samples=6)
-
     def test_mul_with_broadcasting(self):
         rng = np.random.default_rng(6)
         a, b = _p(rng, 3, 4), _p(rng, 1, 4)
@@ -183,16 +175,6 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(7)
         x = _p(rng, 4, 5)  # bounded away from relu's kink
         gradcheck(lambda: sum_(op(x)), [x], samples=8)
-
-    def test_log_on_positive_inputs(self):
-        rng = np.random.default_rng(8)
-        x = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True, dtype=np.float64)
-        gradcheck(lambda: sum_(log(x)), [x], samples=6)
-
-    def test_clamp_min_away_from_boundary(self):
-        rng = np.random.default_rng(9)
-        x = _p(rng, 6)  # |x| >= 0.25, boundary at 0.1
-        gradcheck(lambda: sum_(mul(clamp_min(x, 0.1), clamp_min(x, 0.1))), [x], samples=6)
 
     def test_concat_both_axes(self):
         rng = np.random.default_rng(10)
@@ -350,3 +332,21 @@ class TestKlDivergence:
             return kl_divergence(t, probs, weights=w)
 
         gradcheck(fn, [logits], samples=6)
+
+    def test_prediction_below_eps_gets_exactly_zero_gradient(self):
+        # the clamp at eps = 1e-8 is a dead zone: a true tag predicted below
+        # it contributes loss but no gradient
+        t = np.array([0.5, 0.0, 0.5, 0.0])
+        pred = Tensor(np.array([0.5, 0.5 - 2e-9, 1e-9, 1e-9]), requires_grad=True, dtype=np.float64)
+        with Tape():
+            loss = kl_divergence(t, pred)
+        backward(loss)
+        assert float(loss.data) == pytest.approx(0.5 * np.log(0.5 / 1e-8), rel=1e-12)
+        assert pred.grad[2] == 0.0
+        assert pred.grad[0] == -1.0
+
+    def test_records_one_tape_node(self):
+        pred = Tensor(np.array([0.25, 0.75]), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            kl_divergence(np.array([0.5, 0.5]), pred, weights=np.array([2.0, 1.0]))
+        assert len(tape) == 1

@@ -199,13 +199,15 @@ class TestCorruptionDetection:
         lambda meta: meta["config"].update(filter_sizes=5),
         lambda meta: meta["config"].update(filter_sizes=["2"]),
         lambda meta: meta["config"].update(dropout="0.4"),
+        lambda meta: meta["config"].update(dropout="x"),
+        lambda meta: meta["config"].update(lr=True),
         lambda meta: meta["config"].update(vocab_size=0),
         lambda meta: meta["config"].update(seed="x"),
     ], ids=["no-config", "no-arrays", "no-name", "no-shape",
             "config-list", "arrays-dict", "shape-string",
             "vocab-int", "tag-vocab-string", "tag-vocab-mixed",
             "no-tag-counts", "zero-tag-count", "n-examples-string", "class-weights-list",
-            "filter-sizes-int", "filter-sizes-strings", "dropout-string", "vocab-size-zero",
+            "filter-sizes-int", "filter-sizes-strings", "dropout-string", "dropout-x", "lr-bool", "vocab-size-zero",
             "seed-string"])
     def test_missing_or_mistyped_metadata_exits_2(self, saved, mutate, capsys):
         rewrite_metadata(saved, mutate)

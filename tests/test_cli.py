@@ -133,6 +133,22 @@ class TestTrain:
         assert doc["model"]["seed"] == 7
         assert doc["train"]["seed"] == 7
 
+    @pytest.mark.parametrize("assignment,named", [
+        ("model.dropout=x", "[model] dropout"),
+        ('train.batch_size="8"', "[train] batch_size"),
+        ('model.filter_sizes=["a"]', "[model] filter_sizes"),
+        ('model.lr="x"', "[model] lr"),
+        ("train.lr=true", "[train] lr"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_1(self, assignment, named, toy_corpus_path,
+                                                    tmp_path, capsys):
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
+                       "--variant", "cnn", *TINY_DIMS, "--set", assignment])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert named in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_is_rejected(self, toy_corpus_path, tmp_path, capsys):
         status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
                        "--variant", "cnn", "--set", "model.hidden_size=9", *TINY_DIMS])

@@ -96,6 +96,13 @@ class TestModelConfig:
         ({"filter_sizes": ()}, "filter_sizes"),
         ({"dense_sizes": (0,)}, "dense_sizes"),
         ({"lstm_units": 2.5}, "lstm_units"),
+        ({"lstm_units": True}, "lstm_units"),
+        ({"dropout": "x"}, "dropout"),
+        ({"lr": False}, "lr"),
+        ({"filter_sizes": ["a"]}, "filter_sizes"),
+        ({"filter_sizes": 5}, "filter_sizes"),
+        ({"dense_sizes": (8, True)}, "dense_sizes"),
+        ({"seed": True}, "seed"),
     ])
     def test_invalid_values_rejected(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):

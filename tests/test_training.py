@@ -299,10 +299,19 @@ class TestHistoryAndConfig:
         {"patience": -1},
         {"patience": 5, "max_epochs": 5},
         {"lr": -1e-4},
+        {"seed": -1},
     ])
     def test_invalid_train_config_rejected(self, overrides):
         with pytest.raises(ConfigError):
             quick_train_config(**overrides)
+
+    @pytest.mark.parametrize("name,value", [
+        ("batch_size", "8"), ("batch_size", 2.0), ("max_epochs", True),
+        ("patience", None), ("lr", True), ("lr", "x"), ("seed", 1.5),
+    ])
+    def test_wrong_type_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            quick_train_config(**{name: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="momentum"):
