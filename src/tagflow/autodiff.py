@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over dense numpy buffers.
 
-A ``Tensor`` wraps a contiguous float array (float32 by default, float64
+A ``Tensor`` wraps a float array (float32 by default, float64
 for verification runs) plus an optional gradient buffer.  While a ``Tape``
 is active, every primitive that touches a grad-requiring input appends a
 backward closure to it; the tape's entry order is the execution order, so
@@ -258,17 +258,6 @@ def concat(tensors, axis=-1):
     return _make(out_data, tuple(tensors), bwd)
 
 
-def slice_(x, key):
-    """Basic slicing (slices only, no integer indices)."""
-    out_data = x.data[key].copy()
-
-    def bwd(g):
-        if x.requires_grad:
-            _grad_buffer(x)[key] += g
-
-    return _make(out_data, (x,), bwd)
-
-
 def reshape(x, shape):
     out_data = x.data.reshape(shape).copy()
 
@@ -279,20 +268,108 @@ def reshape(x, shape):
     return _make(out_data, (x,), bwd)
 
 
-def max_over_axis(x, axis):
-    out_data = np.asarray(x.data.max(axis=axis))
-    # the first position equal to the max; a NaN max matches nothing and
-    # propagates through ``out_data`` alone
-    keep = np.expand_dims((x.data == np.expand_dims(out_data, axis)).argmax(axis=axis), axis)
+def window_matrix(data, c):
+    """The c-row windows of a (T, E) array as a (T - c + 1, c * E) matrix.
+
+    Row t is ``data[t:t + c]`` flattened.  Consecutive rows overlap in the
+    array's own memory, so this is a read-only strided view that copies
+    nothing (of a C-contiguous copy when ``data`` is not contiguous).
+    """
+    data = np.ascontiguousarray(data)
+    seq_len, dim = data.shape
+    view = np.ndarray((seq_len - c + 1, c * dim), data.dtype, buffer=data, strides=data.strides)
+    view.flags.writeable = False
+    return view
+
+
+def windows(x, c):
+    """The (T - c + 1, c * E) window matrix of a (T, E) tensor (see ``window_matrix``).
+
+    The backward adds each window's gradient back onto its c rows.
+    """
+    seq_len, dim = x.data.shape
+    if not 1 <= c <= seq_len:
+        raise ValueError(f"windows of {c} rows do not fit a sequence of {seq_len}")
+    n_windows = seq_len - c + 1
 
     def bwd(g):
-        # gradient routes to the first maximum along the axis
         if x.requires_grad:
             buf = _grad_buffer(x)
-            current = np.take_along_axis(buf, keep, axis=axis)
-            np.put_along_axis(buf, keep, current + np.expand_dims(g, axis), axis=axis)
+            for j in range(c):
+                buf[j:j + n_windows] += g[:, j * dim:(j + 1) * dim]
 
-    return _make(out_data, (x,), bwd)
+    return _make(window_matrix(x.data, c), (x,), bwd)
+
+
+def window_max_pool(xw, w, b):
+    """One conv width, max-pooled over time: ``relu(max_t (xw @ w)[t] + b)``.
+
+    ``xw`` is an (n, K) window matrix, ``w`` (K, F) and ``b`` (1, F); the
+    result is (F,).  Bias and relu go on after the max, once per filter: both
+    are monotone, and so is float rounding, so
+    ``max_t relu(a_t + b) == relu(max_t a_t + b)`` exactly.  A NaN score
+    makes its filter's output NaN.
+
+    The backward is argmax-sparse.  Filter f's gradient reaches only its
+    first maximising window t_f: ``dw[:, f] += xw[t_f] g_f``,
+    ``dxw[t_f] += g_f w[:, f]`` and ``db[f] += g_f``, with g_f taken as 0
+    where the output is 0 or NaN.  That is O(F K) work, not the O(n K F)
+    of a dense backward.
+    """
+    n_filters = w.data.shape[-1]
+    if xw.data.ndim != 2 or w.data.shape != (xw.data.shape[1], n_filters) or b.data.shape != (1, n_filters):
+        raise ValueError(f"window_max_pool shape mismatch: {xw.data.shape} x {w.data.shape} + {b.data.shape}")
+    # matmul multiplies a contiguous copy of the overlapping view faster
+    # than the view itself, at every shape measured
+    scores = np.ascontiguousarray(xw.data) @ w.data
+    best = scores.max(axis=0)
+    # Each filter's first maximising window, read off the row-major hits (a
+    # column argmax on a C-order array copies it first).  A NaN column has no
+    # hit and keeps window 0, which its masked gradient never uses.
+    hits = np.flatnonzero(scores == best)
+    filters, first = np.unique(hits % n_filters, return_index=True)
+    winner = np.zeros(n_filters, dtype=np.intp)
+    winner[filters] = hits[first] // n_filters
+    out_data = np.maximum(best + b.data[0], 0)
+
+    def bwd(g):
+        g = np.where(out_data > 0, g, 0)
+        if w.requires_grad:
+            rows = xw.data[winner]
+            rows *= g[:, None]
+            _grad_buffer(w)[...] += rows.T
+        if b.requires_grad:
+            _grad_buffer(b)[...] += g
+        if xw.requires_grad:
+            # (w * g).T, written through a row-padded buffer: with 1024
+            # float32 filters a row of w spans 4 KiB, and reading the product
+            # column by column then maps every element to the same few cache
+            # sets (a plain transposed copy is ~8x slower at the full shape).
+            scaled = np.empty((w.data.shape[0], n_filters + 16), dtype=w.data.dtype)[:, :n_filters]
+            np.multiply(w.data, g, out=scaled)
+            _scatter_add_rows(_grad_buffer(xw), winner, np.ascontiguousarray(scaled.T))
+
+    return _make(out_data, (xw, w, b), bwd)
+
+
+def _scatter_add_rows(buf, idx, rows):
+    """``buf[idx[i]] += rows[i]`` for every i in turn, repeated indices included.
+
+    A fancy ``+=`` keeps only one of the rows that share an index, so the
+    rows go in rounds: round k adds each index's k-th row, and no index
+    repeats within a round.  Every row of ``buf`` receives its terms in
+    order of i, the sums ``np.add.at`` forms, several times faster.
+    """
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    position = np.arange(idx.size)
+    occurrence = np.empty_like(position)
+    occurrence[order] = position - np.maximum.accumulate(np.where(first, position, 0))
+    for k in range(occurrence.max(initial=-1) + 1):
+        chosen = occurrence == k
+        buf[idx[chosen]] += rows[chosen]
 
 
 def sum_(x, axis=None):

@@ -297,6 +297,9 @@ def cmd_train(args):
             lexicon=lexicon, max_len=run.model.seq_len, n_segments=run.model.n_segments,
         )
         train_examples, val_examples = validation_split(examples, seed=run.train.seed)
+    if not val_examples:
+        raise DataError(f"{corpus_path}: {len(train_records)} train records are too few "
+                        f"to hold out a validation set")
 
     with _stage("model"):
         model = build_model(run.model)

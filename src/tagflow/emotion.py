@@ -28,6 +28,7 @@ class EmotionLexicon:
 
     def __init__(self, associations=None):
         self._vectors = {}
+        self._index = self._table = None  # word -> row of the stacked vectors, built by ``rows``
         if associations:
             for word, vec in associations.items():
                 vec = np.asarray(vec, dtype=np.uint8)
@@ -48,7 +49,18 @@ class EmotionLexicon:
             return np.zeros(len(EMOTIONS), dtype=np.uint8)
         return vec
 
+    def rows(self, words):
+        """(len(words), 10) association bits, one row per word; zeros when absent."""
+        if self._table is None:
+            self._index = {word: i for i, word in enumerate(self._vectors, start=1)}
+            self._table = np.zeros((len(self._vectors) + 1, len(EMOTIONS)), dtype=np.uint8)
+            self._table[1:] = np.array(list(self._vectors.values())).reshape(-1, len(EMOTIONS))
+        get = self._index.get
+        return self._table[[get(word.lower(), 0) for word in words]]
+
     def _set(self, word, emotion_idx, flag):
+        # for ``load_lexicon`` only, which fills a fresh lexicon before any
+        # ``rows`` call builds its table
         vec = self._vectors.setdefault(word, np.zeros(len(EMOTIONS), dtype=np.uint8))
         vec[emotion_idx] = flag
 
@@ -102,16 +114,23 @@ def emotion_vector(segment, lexicon):
     """Percentage of segment words associated with each dimension."""
     if not segment:
         return np.zeros(len(EMOTIONS), dtype=np.float64)
-    counts = np.zeros(len(EMOTIONS), dtype=np.float64)
-    for word in segment:
-        counts += lexicon.vector(word)
+    counts = lexicon.rows(segment).sum(axis=0, dtype=np.int64)
     return 100.0 * counts / len(segment)
 
 
 def emotion_flow(text, lexicon, n_segments=DEFAULT_SEGMENTS):
-    """N x 10 matrix of per-segment emotion percentages for a raw text."""
-    segments = segment_words(tokenize(text), n_segments)
-    return np.stack([emotion_vector(s, lexicon) for s in segments])
+    """N x 10 matrix of per-segment emotion percentages for a raw text.
+
+    Row i equals ``emotion_vector(segment_words(tokens)[i])``, bit for bit:
+    each segment's counts are exact differences of integer prefix sums.
+    """
+    tokens = tokenize(text)
+    sizes = np.array([len(s) for s in segment_words(tokens, n_segments)])
+    totals = np.zeros((len(tokens) + 1, len(EMOTIONS)), dtype=np.int64)
+    np.cumsum(lexicon.rows(tokens), axis=0, dtype=np.int64, out=totals[1:])
+    ends = np.cumsum(sizes)
+    counts = totals[ends] - totals[ends - sizes]
+    return 100.0 * counts / np.maximum(sizes, 1)[:, None]
 
 
 def flow_to_csv(flow):

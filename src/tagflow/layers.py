@@ -24,16 +24,16 @@ from .autodiff import (
     constant,
     embedding_gather,
     kl_divergence,
-    matmul,
-    max_over_axis,
     mul,
     recording,
     relu,
     reshape,
     sigmoid,
-    slice_,
     softmax_last_axis,
     tanh,
+    window_matrix,
+    window_max_pool,
+    windows,
 )
 from .errors import DataError
 
@@ -115,11 +115,12 @@ def conv_bank_forward(embedded, bank):
     ``embedded`` is a (T, embed_dim) tensor; the result is a 1-D tensor of
     width ``len(filter_sizes) * n_filters``, filter widths in declared order.
 
-    While a tape records, each width c is built from graph nodes: c shifted
-    slice-matmuls summed into the (T - c + 1, n_filters) window map, then
-    bias, relu and a max over time, so the gradient reaches each filter's
-    winning window.  Otherwise ``_pooled_features`` computes the same values
-    in plain numpy, bit for bit, and the result carries no graph.
+    Each width c convolves as one GEMM of the (T - c + 1, c * embed_dim)
+    window matrix with the (c * embed_dim, n_filters) weights.  While a tape
+    records, that is two nodes per width, ``windows`` and
+    ``window_max_pool``, whose backward reaches only each filter's winning
+    window.  Otherwise ``_pooled_features`` computes the same values in
+    plain numpy and the result carries no graph.
     """
     seq_len, embed_dim = embedded.data.shape
     largest = max(bank.filter_sizes)
@@ -131,18 +132,8 @@ def conv_bank_forward(embedded, bank):
         raise ValueError(f"embedding width {embed_dim} != conv bank width {bank.embed_dim}")
     if not recording(embedded, *bank.parameters().values()):
         return constant(_pooled_features(embedded.data, bank), dtype=embedded.dtype)
-    pooled = []
-    for c in bank.filter_sizes:
-        n_windows = seq_len - c + 1
-        w = bank.weights[c]
-        acc = None
-        for j in range(c):
-            rows = slice_(embedded, (slice(j, j + n_windows), slice(None)))
-            w_rows = slice_(w, (slice(j * embed_dim, (j + 1) * embed_dim), slice(None)))
-            term = matmul(rows, w_rows)
-            acc = term if acc is None else acc + term
-        feature_map = relu(acc + bank.biases[c])          # (n_windows, n_filters)
-        pooled.append(max_over_axis(feature_map, axis=0))  # (n_filters,)
+    pooled = [window_max_pool(windows(embedded, c), bank.weights[c], bank.biases[c])
+              for c in bank.filter_sizes]
     return concat(pooled, axis=-1)
 
 
@@ -150,27 +141,21 @@ def _pooled_features(x, bank):
     """The conv bank's pooled features of a (T, embed_dim) array, tape-free.
 
     Sequences are left-padded with the all-zero padding row, so only the
-    windows from the last c - 1 leading zero rows on go through the GEMMs.
+    windows from the last c - 1 leading zero rows on go through the GEMM,
+    taken as in ``window_max_pool``.
     A window of zeros scores exactly 0 for finite weights; when one exists,
-    0 joins the max instead.  Bias and relu go on after the max, once per
-    filter: both are monotone, and so is float rounding, so
-    ``max_t relu(a_t + b) == relu(max_t a_t + b)`` exactly.
+    0 joins the max instead.  Bias and relu go on after the max, as in
+    ``window_max_pool``.
     """
-    seq_len, dim = x.shape
+    seq_len = x.shape[0]
     nonzero = np.flatnonzero(x.any(axis=1))
     lead = int(nonzero[0]) if nonzero.size else seq_len
     pooled = []
     for c in bank.filter_sizes:
         w = bank.weights[c].data
         start = max(lead - (c - 1), 0)
-        n_windows = seq_len - start - c + 1
-        if n_windows > 0:
-            acc = x[start:start + n_windows] @ w[:dim]
-            term = np.empty_like(acc)
-            for j in range(1, c):
-                np.matmul(x[start + j:start + j + n_windows], w[j * dim:(j + 1) * dim], out=term)
-                acc += term
-            best = acc.max(axis=0)
+        if start <= seq_len - c:
+            best = (np.ascontiguousarray(window_matrix(x[start:], c)) @ w).max(axis=0)
             if start > 0:
                 np.maximum(best, 0, out=best)
         else:

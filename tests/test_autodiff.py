@@ -1,8 +1,8 @@
 """Engine tests: primitive behavior, gradient oracles, loss contracts.
 
 Every gradient is checked against central finite differences in 64-bit
-mode.  Inputs for kinked primitives (relu, max) are constructed
-away from their kinks so the numeric oracle is valid.
+mode.  Inputs for kinked primitives (relu, the window max-pool) are
+constructed away from their kinks so the numeric oracle is valid.
 """
 
 from __future__ import annotations
@@ -23,15 +23,16 @@ from tagflow.autodiff import (
     gradcheck,
     kl_divergence,
     matmul,
-    max_over_axis,
     mul,
     relu,
     reshape,
     sigmoid,
-    slice_,
     softmax_last_axis,
     sum_,
     tanh,
+    window_matrix,
+    window_max_pool,
+    windows,
 )
 
 
@@ -82,26 +83,6 @@ class TestForwardValues:
             out = softmax_last_axis(x).data
             assert (out >= 0).all()
             npt.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-
-    def test_max_over_axis_matches_direct_scan(self):
-        rng = np.random.default_rng(1)
-        x = constant(rng.normal(size=(3, 4)))
-        out = max_over_axis(x, axis=0)
-        expected = [max(x.data[i, j] for i in range(3)) for j in range(4)]
-        npt.assert_array_equal(out.data, expected)
-        assert out.data.shape == (4,)
-
-    def test_max_over_axis_ties_send_gradient_to_first_and_nan_propagates(self):
-        x = Tensor(np.array([[1.0, 2.0, np.nan],
-                             [3.0, 2.0, 0.0],
-                             [3.0, 0.0, 5.0]]), requires_grad=True, dtype=np.float64)
-        with Tape():
-            out = max_over_axis(x, axis=0)
-            loss = sum_(mul(out, constant([10.0, 20.0, 30.0])))
-        npt.assert_array_equal(out.data[:2], [3.0, 2.0])
-        assert np.isnan(out.data[2])
-        backward(loss)
-        npt.assert_array_equal(x.grad[:, :2], [[0.0, 20.0], [10.0, 0.0], [0.0, 0.0]])
 
     def test_sigmoid_stable_at_extremes(self):
         out = sigmoid(constant([-1000.0, 0.0, 1000.0]))
@@ -183,24 +164,10 @@ class TestFiniteDifferenceOracle:
         c, d = _p(rng, 2, 3), _p(rng, 1, 3)
         gradcheck(lambda: sum_(mul(concat([c, d], axis=0), concat([c, d], axis=0))), [c, d], samples=8)
 
-    def test_slice(self):
-        rng = np.random.default_rng(11)
-        x = _p(rng, 5, 4)
-        key = (slice(1, 4), slice(0, 2))
-        gradcheck(lambda: sum_(mul(slice_(x, key), slice_(x, key))), [x], samples=8)
-
     def test_reshape(self):
         rng = np.random.default_rng(12)
         x = _p(rng, 2, 6)
         gradcheck(lambda: sum_(mul(reshape(x, (3, 4)), reshape(x, (3, 4)))), [x], samples=8)
-
-    def test_max_over_axis_with_separated_values(self):
-        rng = np.random.default_rng(13)
-        # entries spaced ~0.5 apart so +-1e-3 never flips the argmax
-        base = rng.permutation(20).astype(np.float64).reshape(4, 5) * 0.5
-        x = Tensor(base, requires_grad=True, dtype=np.float64)
-        gradcheck(lambda: sum_(mul(max_over_axis(x, axis=0), max_over_axis(x, axis=0))), [x], samples=8)
-        gradcheck(lambda: sum_(max_over_axis(x, axis=1)), [x], samples=8)
 
     def test_sum_all_and_axis(self):
         rng = np.random.default_rng(14)
@@ -238,6 +205,101 @@ class TestFiniteDifferenceOracle:
             return sum_(mul(s, sigmoid(h)))
 
         gradcheck(fn, [a, b, c], samples=6)
+
+    def test_windows(self):
+        rng = np.random.default_rng(21)
+        x = _p(rng, 6, 3)
+        w = constant(rng.normal(size=(9, 2)))
+        # every row of x sits in up to three windows, so the folds must add
+        gradcheck(lambda: sum_(mul(matmul(windows(x, 3), w), matmul(windows(x, 3), w))), [x], samples=18)
+
+    def test_window_max_pool(self):
+        rng = np.random.default_rng(22)
+        x, w = _p(rng, 7, 2), _p(rng, 6, 4)
+        b = Tensor(rng.uniform(-0.2, 0.2, size=(1, 4)), requires_grad=True, dtype=np.float64)
+        xw = windows(x, 3)
+        scores = xw.data @ w.data
+        top2 = np.sort(scores, axis=0)[-2:]
+        assert (top2[1] - top2[0]).min() > 0.05 and (top2[1] + b.data[0]).min() > 0.05  # off the kinks
+        g = constant(rng.normal(size=4))
+        gradcheck(lambda: sum_(mul(window_max_pool(windows(x, 3), w, b), g)), [x, w, b], samples=14)
+
+
+def _pool(xw, w, b, g):
+    """window_max_pool over float64 arrays; returns (out, dxw, dw, db) for upstream gradient g."""
+    xw = Tensor(np.asarray(xw, dtype=np.float64), requires_grad=True, dtype=np.float64)
+    w = Tensor(np.asarray(w, dtype=np.float64), requires_grad=True, dtype=np.float64)
+    b = Tensor(np.asarray(b, dtype=np.float64).reshape(1, -1), requires_grad=True, dtype=np.float64)
+    with Tape():
+        out = window_max_pool(xw, w, b)
+        loss = sum_(mul(out, constant(np.asarray(g, dtype=np.float64))))
+    backward(loss)
+    return out.data, xw.grad, w.grad, b.grad
+
+
+class TestWindows:
+    def test_window_matrix_is_a_read_only_view(self):
+        x = np.arange(12, dtype=np.float32).reshape(4, 3)
+        view = window_matrix(x, 2)
+        npt.assert_array_equal(view, [np.r_[x[t], x[t + 1]] for t in range(3)])
+        assert np.shares_memory(view, x) and not view.flags.writeable
+
+    def test_windows_fold_gradient_back_onto_rows(self):
+        x = Tensor(np.zeros((4, 2)), requires_grad=True, dtype=np.float64)
+        with Tape():
+            loss = sum_(windows(x, 3))
+        backward(loss)
+        # row t sits in min(t + 1, 4 - t, 2) of the two windows
+        npt.assert_array_equal(x.grad, [[1, 1], [2, 2], [2, 2], [1, 1]])
+
+    def test_window_wider_than_sequence_rejected(self):
+        with pytest.raises(ValueError, match="3 rows"):
+            windows(constant(np.zeros((2, 4))), 3)
+
+    def test_pool_is_relu_of_max_plus_bias(self):
+        rng = np.random.default_rng(23)
+        xw, w, b = rng.normal(size=(9, 5)), rng.normal(size=(5, 6)), rng.normal(size=6)
+        out, *_ = _pool(xw, w, b, np.ones(6))
+        npt.assert_array_equal(out, np.maximum((xw @ w).max(axis=0) + b, 0))
+
+    def test_pool_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"\(4, 3\) x \(2, 5\)"):
+            window_max_pool(constant(np.ones((4, 3))), constant(np.ones((2, 5))), constant(np.ones((1, 5))))
+
+    def test_filters_winning_on_the_same_window_add_their_gradients(self):
+        xw = np.array([[1.0, 0.0], [3.0, 2.0], [0.0, 1.0]])
+        w = np.array([[1.0, 2.0, -1.0], [0.5, -1.0, 1.0]])
+        # scores [[1, 2, -1], [4, 4, -1], [0.5, -1, 1]]: filters 0 and 1 win on window 1
+        out, dxw, dw, db = _pool(xw, w, np.zeros(3), [10.0, 100.0, 1000.0])
+        npt.assert_array_equal(out, [4.0, 4.0, 1.0])
+        npt.assert_array_equal(dxw, [[0, 0], [10 * 1 + 100 * 2, 10 * 0.5 - 100], [-1000, 1000]])
+        npt.assert_array_equal(dw, [[30, 300, 0], [20, 200, 1000]])
+        npt.assert_array_equal(db, [[10, 100, 1000]])
+
+    def test_ties_send_gradient_to_the_first_maximum(self):
+        xw = np.array([[1.0], [3.0], [3.0], [2.0]])
+        out, dxw, dw, _ = _pool(xw, [[2.0]], [0.0], [5.0])
+        assert out[0] == 6.0
+        npt.assert_array_equal(dxw[:, 0], [0, 10, 0, 0])
+        npt.assert_array_equal(dw, [[15.0]])
+
+    def test_filters_at_or_below_zero_get_exactly_zero_gradient(self):
+        xw = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        w = np.array([[1.0, -1.0, 1.0], [1.0, -1.0, 0.0]])
+        # maxima 3, 0.5, 1; biases -3, -1, 0.5 put filters 0 and 1 at relu's zero
+        out, dxw, dw, db = _pool(xw, w, [-3.0, -1.0, 0.5], [7.0, 7.0, 7.0])
+        npt.assert_array_equal(out, [0.0, 0.0, 1.5])
+        npt.assert_array_equal(dw[:, :2], 0.0)
+        npt.assert_array_equal(db, [[0.0, 0.0, 7.0]])
+        npt.assert_array_equal(dxw, [[7.0, 0.0], [0.0, 0.0]])
+
+    def test_nan_score_reaches_the_output_and_gives_w_and_b_no_gradient(self):
+        xw = np.array([[1.0, 3.0], [2.0, 0.0]])
+        w = np.array([[1.0, np.nan], [0.0, 1.0]])
+        out, _, dw, db = _pool(xw, w, [0.0, 0.0], [1.0, 1.0])
+        assert out[0] == 2.0 and np.isnan(out[1])
+        npt.assert_array_equal(db, [[1.0, 0.0]])
+        npt.assert_array_equal(dw, [[2.0, 0.0], [0.0, 0.0]])
 
 
 class TestDropout:

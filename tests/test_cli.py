@@ -109,6 +109,17 @@ class TestTrain:
                        "--out", str(tmp_path / "m"), "--variant", "cnn", *TINY_DIMS])
         assert status == 2
 
+    def test_too_few_train_records_for_a_validation_set_is_a_data_error(self, tmp_path, toy_corpus_records,
+                                                                        capsys):
+        records = [r for r in toy_corpus_records if r.movie_id in ("t1", "t2", "t3", "t4", "x1")]
+        corpus = write_corpus_csv(tmp_path / "four.csv", records)
+        status = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m"),
+                       "--variant", "cnn", *TINY_DIMS])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert str(corpus) in err and "4 train records" in err
+        assert "Traceback" not in err
+
     def test_invalid_config_json_fails_fast(self, tmp_path, capsys):
         bad = tmp_path / "config.json"
         bad.write_text("{not json", encoding="utf-8")

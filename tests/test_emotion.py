@@ -188,6 +188,30 @@ class TestEmotionFlow:
                     npt.assert_allclose(emotion_vector(s * k, synthetic_lexicon), row, atol=1e-12)
 
 
+    def test_matches_the_per_word_loop_bit_for_bit(self, synthetic_lexicon):
+        def loop_flow(text, n):
+            rows = []
+            for segment in segment_words(tokenize(text), n):
+                counts = np.zeros(10)
+                for word in segment:
+                    counts += synthetic_lexicon.vector(word)
+                rows.append(100.0 * counts / len(segment) if segment else np.zeros(10))
+            return np.stack(rows)
+
+        rng = np.random.default_rng(12)
+        words = ["gleam", "Dread,", "MOURN", "calm", "table", "river.", "gleam!"]
+        for _ in range(200):
+            text = " ".join(words[i] for i in rng.integers(0, len(words), size=int(rng.integers(0, 90))))
+            n = int(rng.integers(1, 40))  # often more segments than tokens
+            assert emotion_flow(text, synthetic_lexicon, n).tobytes() == loop_flow(text, n).tobytes()
+
+    def test_lexicon_rows_match_vectors(self, synthetic_lexicon):
+        words = ["gleam", "GLEAM", "table", "dread", "mourn"]
+        npt.assert_array_equal(synthetic_lexicon.rows(words),
+                               np.stack([synthetic_lexicon.vector(w) for w in words]))
+        assert synthetic_lexicon.rows([]).shape == (0, 10)
+
+
 class TestFlowCsv:
     def test_golden_synopsis_byte_exact(self, synthetic_lexicon):
         flow = emotion_flow(GOLDEN_SYNOPSIS, synthetic_lexicon)

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import make_record
-from tagflow.autodiff import Tape, Tensor, constant, gradcheck, kl_divergence, sum_
+from tagflow.autodiff import Tape, Tensor, backward, constant, gradcheck, kl_divergence, mul, sum_
 from tagflow.corpus import TagVocabulary
 from tagflow.errors import DataError
 from tagflow.layers import (
@@ -123,6 +123,40 @@ class TestConvBank:
         x = constant(rng.standard_normal((7, 4)))
         params = list(bank.parameters().values())
         gradcheck(lambda: sum_(conv_bank_forward(x, bank)), params, np.random.default_rng(0))
+
+    def test_gradcheck_through_the_embedded_input(self):
+        rng = np.random.default_rng(6)
+        bank = ConvBank((2, 3), 3, 4, rng, dtype=np.float64)
+        x = Tensor(rng.standard_normal((7, 4)), requires_grad=True, dtype=np.float64)
+        g = constant(rng.normal(size=6))
+        params = [x, *bank.parameters().values()]
+        gradcheck(lambda: sum_(mul(conv_bank_forward(x, bank), g)), params, np.random.default_rng(0), samples=10)
+
+    def test_records_two_tape_nodes_per_filter_width(self):
+        rng = np.random.default_rng(9)
+        bank = ConvBank((2, 3, 5), 4, 3, rng)
+        x = Tensor(rng.standard_normal((9, 3)), requires_grad=True)
+        with Tape() as tape:
+            conv_bank_forward(x, bank)
+        assert len(tape) == 2 * 3 + 1  # windows and window_max_pool per width, one concat
+
+    def test_winning_all_padding_window_trains_only_the_bias(self):
+        bank = ConvBank((2,), 2, 3, np.random.default_rng(2), dtype=np.float64)
+        bank.weights[2].data[:] = -np.abs(bank.weights[2].data)
+        bank.biases[2].data[:] = [[0.5, -0.5]]
+        x = Tensor(np.zeros((6, 3)), requires_grad=True, dtype=np.float64)
+        x.data[3:] = np.abs(np.random.default_rng(3).standard_normal((3, 3))) + 0.1
+        # every window touching a real row scores < 0, so the first all-padding window wins
+        with Tape():
+            out = conv_bank_forward(x, bank)
+            loss = sum_(mul(out, constant([3.0, 4.0])))
+        backward(loss)
+        npt.assert_array_equal(out.data, [0.5, 0.0])
+        npt.assert_array_equal(bank.biases[2].grad, [[3.0, 0.0]])
+        npt.assert_array_equal(bank.weights[2].grad, 0.0)
+        w = bank.weights[2].data
+        npt.assert_array_equal(x.grad[:2], 3.0 * w[:, 0].reshape(2, 3))
+        npt.assert_array_equal(x.grad[2:], 0.0)
 
     # (real rows of 12, sign of real rows and weights: +1, -1 or 0 for mixed)
     @pytest.mark.parametrize("n_real, sign", [
