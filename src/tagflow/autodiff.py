@@ -325,12 +325,15 @@ def window_max_pool(xw, w, b):
     best = scores.max(axis=0)
     # Each filter's first maximising window, read off the row-major hits (a
     # column argmax on a C-order array copies it first).  A NaN column has no
-    # hit and keeps window 0, which its masked gradient never uses.
+    # hit and keeps window 0, which its masked gradient never uses.  Only the
+    # backward reads the winners, so a tape-free call skips them.
+    out_data = np.maximum(best + b.data[0], 0)
+    if not recording(xw, w, b):
+        return _make(out_data, (xw, w, b), None)
     hits = np.flatnonzero(scores == best)
     filters, first = np.unique(hits % n_filters, return_index=True)
     winner = np.zeros(n_filters, dtype=np.intp)
     winner[filters] = hits[first] // n_filters
-    out_data = np.maximum(best + b.data[0], 0)
 
     def bwd(g):
         g = np.where(out_data > 0, g, 0)

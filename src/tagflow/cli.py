@@ -33,7 +33,7 @@ from .corpus import (
     validation_split,
 )
 from .emotion import DEFAULT_SEGMENTS, emotion_flow, flow_to_csv, load_lexicon
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, open_text
 from .metrics import (
     MetricsReport,
     baseline_most_frequent,
@@ -120,6 +120,13 @@ def _apply_set_overrides(doc, assignments):
 def _resolve_run_config(args):
     doc = _load_config_file(args.config) if getattr(args, "config", None) else {}
     _apply_set_overrides(doc, getattr(args, "set", None))
+    for key in ("model", "train"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"config key '{key}' must be an object, got {doc[key]!r}")
+    paths = {key: getattr(args, key, None) or doc.get(key) for key in ("corpus", "lexicon", "embeddings", "out")}
+    for key, path in paths.items():
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"config key '{key}' must be a path string, got {path!r}")
     model_doc = dict(doc.get("model", {}))
     train_doc = dict(doc.get("train", {}))
     if getattr(args, "variant", None):
@@ -131,14 +138,7 @@ def _resolve_run_config(args):
         model_config = ModelConfig.from_dict(model_doc)
     with _stage("train"):
         train_config = TrainConfig.from_dict(train_doc)
-    return RunConfig(
-        model=model_config,
-        train=train_config,
-        corpus=getattr(args, "corpus", None) or doc.get("corpus"),
-        lexicon=getattr(args, "lexicon", None) or doc.get("lexicon"),
-        embeddings=getattr(args, "embeddings", None) or doc.get("embeddings"),
-        out=getattr(args, "out", None) or doc.get("out"),
-    )
+    return RunConfig(model=model_config, train=train_config, **paths)
 
 
 def _parse_k_list(text):
@@ -157,7 +157,7 @@ def _read_input_texts(args):
         return [("input-1", args.text)]
     if getattr(args, "input", None):
         pairs = []
-        with open(args.input, encoding="utf-8") as f:
+        with open_text(args.input) as f:
             for i, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
                 if not line.strip():
@@ -193,7 +193,7 @@ def _prediction_lines(movie_id, ranked, probs, tag_vocab):
 def _load_prediction_file(path):
     """Read line-delimited (movie_id, rank, tag, probability) records."""
     by_movie = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip():

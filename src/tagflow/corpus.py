@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 PAD_INDEX = 0
 OOV_INDEX = 1
@@ -51,7 +51,7 @@ def load_stopwords(path=None):
     if path is None:
         text = resources.files("tagflow").joinpath("data/stopwords.txt").read_text("utf-8")
     else:
-        with open(path, encoding="utf-8") as f:
+        with open_text(path) as f:
             text = f.read()
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
@@ -79,7 +79,7 @@ def load_corpus(path):
     """Parse a corpus file into records; fails fast with the offending row number."""
     records = []
     first_row = {}
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_text(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty corpus file")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import tokenize
-from .errors import DataError
+from .errors import DataError, open_text
 
 #: Fixed dimension order of every emotion vector and of the CSV export.
 EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
@@ -69,7 +69,7 @@ def load_lexicon(path):
     """Parse the tab-separated triple format ``word<TAB>emotion<TAB>{0,1}``."""
     lex = EmotionLexicon()
     seen = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and config type checks.
+"""Exception types shared across the package, config type checks and a UTF-8 reader.
 
 ``cli.main`` maps them onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.  It also maps ValueError to 1 and OSError to 2, and
 lets every other exception propagate as a traceback.
 """
+
+from contextlib import contextmanager
 
 
 class ConfigError(Exception):
@@ -39,3 +41,13 @@ def check_types(config, ints=(), numbers=(), int_tuples=()):
         value = getattr(config, name)
         if not (isinstance(value, tuple) and all(is_int(v) for v in value)):
             raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """Open ``path`` to read as UTF-8; bytes that do not decode raise DataError naming it."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: byte 0x{e.object[e.start]:02x}: {e.reason}") from None

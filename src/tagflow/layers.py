@@ -31,7 +31,6 @@ from .autodiff import (
     sigmoid,
     softmax_last_axis,
     tanh,
-    window_matrix,
     window_max_pool,
     windows,
 )
@@ -116,11 +115,14 @@ def conv_bank_forward(embedded, bank):
     width ``len(filter_sizes) * n_filters``, filter widths in declared order.
 
     Each width c convolves as one GEMM of the (T - c + 1, c * embed_dim)
-    window matrix with the (c * embed_dim, n_filters) weights.  While a tape
-    records, that is two nodes per width, ``windows`` and
-    ``window_max_pool``, whose backward reaches only each filter's winning
-    window.  Otherwise ``_pooled_features`` computes the same values in
-    plain numpy and the result carries no graph.
+    window matrix with the (c * embed_dim, n_filters) weights: two nodes per
+    width, ``windows`` and ``window_max_pool``, whose backward reaches only
+    each filter's winning window.
+
+    Sequences are left-padded with the all-zero padding row.  When no tape
+    records, the rows before the last ``max(filter_sizes)`` leading zero rows
+    are dropped: each window they start is all zeros, and so is one window
+    every width keeps, which scores the same, so no max changes.
     """
     seq_len, embed_dim = embedded.data.shape
     largest = max(bank.filter_sizes)
@@ -130,38 +132,15 @@ def conv_bank_forward(embedded, bank):
         )
     if embed_dim != bank.embed_dim:
         raise ValueError(f"embedding width {embed_dim} != conv bank width {bank.embed_dim}")
+    x = embedded
+    # Training keeps every row while perfbench's tape-cycle RSS test contrasts dead-tape size.
     if not recording(embedded, *bank.parameters().values()):
-        return constant(_pooled_features(embedded.data, bank), dtype=embedded.dtype)
-    pooled = [window_max_pool(windows(embedded, c), bank.weights[c], bank.biases[c])
+        nonzero = np.flatnonzero(embedded.data.any(axis=1))
+        lead = int(nonzero[0]) if nonzero.size else seq_len
+        x = constant(embedded.data[max(lead - largest, 0):], dtype=embedded.dtype)
+    pooled = [window_max_pool(windows(x, c), bank.weights[c], bank.biases[c])
               for c in bank.filter_sizes]
     return concat(pooled, axis=-1)
-
-
-def _pooled_features(x, bank):
-    """The conv bank's pooled features of a (T, embed_dim) array, tape-free.
-
-    Sequences are left-padded with the all-zero padding row, so only the
-    windows from the last c - 1 leading zero rows on go through the GEMM,
-    taken as in ``window_max_pool``.
-    A window of zeros scores exactly 0 for finite weights; when one exists,
-    0 joins the max instead.  Bias and relu go on after the max, as in
-    ``window_max_pool``.
-    """
-    seq_len = x.shape[0]
-    nonzero = np.flatnonzero(x.any(axis=1))
-    lead = int(nonzero[0]) if nonzero.size else seq_len
-    pooled = []
-    for c in bank.filter_sizes:
-        w = bank.weights[c].data
-        start = max(lead - (c - 1), 0)
-        if start <= seq_len - c:
-            best = (np.ascontiguousarray(window_matrix(x[start:], c)) @ w).max(axis=0)
-            if start > 0:
-                np.maximum(best, 0, out=best)
-        else:
-            best = np.zeros(w.shape[1], dtype=x.dtype)
-        pooled.append(np.maximum(best + bank.biases[c].data[0], 0))
-    return np.concatenate(pooled)
 
 
 class LstmCell:

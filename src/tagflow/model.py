@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tensor, concat, dropout, reshape, softmax_last_axis
 from .corpus import OOV_INDEX, PAD_INDEX, SEQUENCE_LENGTH
 from .emotion import DEFAULT_SEGMENTS, EMOTIONS
-from .errors import ConfigError, DataError, check_types
+from .errors import ConfigError, DataError, check_types, open_text
 from .layers import (
     Attention,
     ConvBank,
@@ -246,7 +246,7 @@ def load_pretrained_embeddings(path, vocab, embedding):
     """
     dim = embedding.dim
     replaced = set()
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         lines = iter(enumerate(f, start=1))
         first = next(lines, None)
         if first is not None:

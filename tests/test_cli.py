@@ -160,6 +160,31 @@ class TestTrain:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"model": 3}, "model"),
+        ({"train": 3}, "train"),
+        ({"model": [1, 2]}, "model"),
+        ({"out": 5}, "out"),
+        ({"corpus": 5}, "corpus"),
+        ({"corpus": True}, "corpus"),
+        ({"lexicon": 7}, "lexicon"),
+        ({"embeddings": 1.5}, "embeddings"),
+    ], ids=["model-int", "train-int", "model-list", "out-int", "corpus-int", "corpus-bool",
+            "lexicon-int", "embeddings-float"])
+    @pytest.mark.parametrize("via", ["file", "set"])
+    def test_config_section_or_path_of_the_wrong_type_exits_1(self, doc, key, via, tmp_path, capsys):
+        if via == "file":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            source = ["--config", str(config)]
+        else:
+            source = ["--set", f"{key}={json.dumps(doc[key])}"]
+        status = main(["train", "--variant", "cnn", *source])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_is_rejected(self, toy_corpus_path, tmp_path, capsys):
         status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
                        "--variant", "cnn", "--set", "model.hidden_size=9", *TINY_DIMS])
@@ -383,3 +408,32 @@ class TestEmotionFlowCommand:
     def test_requires_lexicon(self, capsys):
         assert main(["emotion-flow", "--text", "x"]) == 1
         assert "--lexicon" in capsys.readouterr().err
+
+
+class TestNonUtf8DataFiles:
+    @pytest.mark.parametrize("role", ["corpus", "lexicon", "input", "predictions", "embeddings"])
+    def test_exits_2_naming_the_file(self, role, toy_corpus_path, synthetic_lexicon_path, tmp_path, capsys):
+        corpus, lexicon = str(toy_corpus_path), str(synthetic_lexicon_path)
+        valid = {
+            "corpus": toy_corpus_path.read_bytes(),
+            "lexicon": synthetic_lexicon_path.read_bytes(),
+            "input": b"m1\ta grim detective hunts the killer\n",
+            "predictions": b"x1\t1\tmurder\t0.500000\n",
+            "embeddings": b"killer 0.1 0.2 0.3 0.4 0.5\n",
+        }[role]
+        bad = tmp_path / f"{role}.latin1"
+        bad.write_bytes(valid.replace(b"e", b"\xe9", 1))  # a Latin-1 e-acute
+        argv = {
+            "corpus": ["baselines", "--corpus", str(bad)],
+            "lexicon": ["emotion-flow", "--lexicon", str(bad), "--text", "a grim tale"],
+            "input": ["emotion-flow", "--lexicon", lexicon, "--input", str(bad)],
+            "predictions": ["compare", str(bad), str(bad), "--corpus", corpus],
+            "embeddings": ["train", "--corpus", corpus, "--out", str(tmp_path / "m"),
+                           "--variant", "cnn_fe_pretrained", "--lexicon", lexicon,
+                           "--embeddings", str(bad), *TINY_DIMS],
+        }[role]
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert str(bad) in err and "not UTF-8" in err and "0xe9" in err
+        assert "Traceback" not in err

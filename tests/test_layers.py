@@ -9,7 +9,18 @@ import numpy.testing as npt
 import pytest
 
 from helpers import make_record
-from tagflow.autodiff import Tape, Tensor, backward, constant, gradcheck, kl_divergence, mul, sum_
+from tagflow import layers
+from tagflow.autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    constant,
+    gradcheck,
+    kl_divergence,
+    mul,
+    sum_,
+    window_max_pool,
+)
 from tagflow.corpus import TagVocabulary
 from tagflow.errors import DataError
 from tagflow.layers import (
@@ -167,8 +178,11 @@ class TestConvBank:
         (5, 1),    # every window touching a real row scores > 0
         (0, 0),    # all padding
         (3, 0),    # fewer real rows than the widest filter
+        (7, -1),   # exactly as many pad rows as the widest filter: nothing to drop
+        (6, -1),   # one more pad row than the widest filter: one row dropped
     ], ids=["no-padding", "no-padding-negative", "short-padding", "long-padding-negative",
-            "long-padding-positive", "all-padding", "shorter-than-widest"])
+            "long-padding-positive", "all-padding", "shorter-than-widest",
+            "widest-padding-negative", "widest-plus-one-padding-negative"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_tape_free_path_matches_taped_graph(self, n_real, sign, dtype):
         rng = np.random.default_rng(7)
@@ -197,6 +211,28 @@ class TestConvBank:
                 npt.assert_array_equal(free.data, relu_b)
             else:
                 assert (free.data <= relu_b).all() and (free.data < relu_b).any()
+
+    # a pad lead of 5 (the widest filter) drops nothing, of 16 or 20 drops rows
+    @pytest.mark.parametrize("n_real", [15, 4, 0])
+    def test_only_a_tape_free_call_drops_leading_padding(self, n_real, monkeypatch):
+        rng = np.random.default_rng(10)
+        bank = ConvBank((2, 3, 5), 4, 3, rng)
+        x = np.zeros((20, 3), dtype=np.float32)
+        x[20 - n_real:] = rng.standard_normal((n_real, 3))
+        window_rows = []
+
+        def spy(xw, w, b):
+            window_rows.append(xw.data.shape[0])
+            return window_max_pool(xw, w, b)
+
+        monkeypatch.setattr(layers, "window_max_pool", spy)
+        conv_bank_forward(constant(x), bank)
+        # n_real rows plus the widest filter's 5 zero rows
+        assert window_rows == [n_real + 5 - c + 1 for c in bank.filter_sizes]
+        window_rows.clear()
+        with Tape():
+            conv_bank_forward(constant(x), bank)
+        assert window_rows == [20 - c + 1 for c in bank.filter_sizes]
 
     def test_tape_free_path_records_nothing_under_an_active_tape(self):
         rng = np.random.default_rng(8)
