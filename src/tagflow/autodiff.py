@@ -220,18 +220,6 @@ def tanh(x):
     return _make(out_data, (x,), bwd)
 
 
-def sigmoid(x):
-    d = x.data
-    z = np.exp(-np.abs(d))  # never overflows
-    out_data = np.where(d >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(d.dtype)
-
-    def bwd(g):
-        if x.requires_grad:
-            _grad_buffer(x)[...] += g * out_data * (1.0 - out_data)
-
-    return _make(out_data, (x,), bwd)
-
-
 def relu(x):
     out_data = np.maximum(x.data, 0)
 
@@ -245,11 +233,11 @@ def relu(x):
 def concat(tensors, axis=-1):
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        hi = 0
+        for t in tensors:
+            lo, hi = hi, hi + t.data.shape[axis]
             if t.requires_grad:
                 key = [slice(None)] * g.ndim
                 key[axis] = slice(lo, hi)

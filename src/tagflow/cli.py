@@ -87,7 +87,7 @@ def _stage(name):
 
 
 def _load_config_file(path):
-    with open(path, encoding="utf-8") as f:
+    with open_text(path, error=ConfigError) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:

@@ -58,17 +58,28 @@ class EmotionLexicon:
         get = self._index.get
         return self._table[[get(word.lower(), 0) for word in words]]
 
-    def _set(self, word, emotion_idx, flag):
-        # for ``load_lexicon`` only, which fills a fresh lexicon before any
-        # ``rows`` call builds its table
-        vec = self._vectors.setdefault(word, np.zeros(len(EMOTIONS), dtype=np.uint8))
-        vec[emotion_idx] = flag
+    @classmethod
+    def _from_bits(cls, words, bits):
+        """The lexicon where ``words[i]`` has dimension d set iff bit d of
+        ``bits[i]`` is, with the stacked table ``rows`` reads built at once;
+        each word's vector is a row of it."""
+        lex = cls()
+        table = np.zeros((len(words) + 1, len(EMOTIONS)), dtype=np.uint8)
+        table[1:] = np.asarray(bits, dtype=np.int64).reshape(-1, 1) >> np.arange(len(EMOTIONS)) & 1
+        lex._vectors = dict(zip(words, table[1:]))
+        lex._index = {word: i for i, word in enumerate(words, start=1)}
+        lex._table = table
+        return lex
 
 
 def load_lexicon(path):
-    """Parse the tab-separated triple format ``word<TAB>emotion<TAB>{0,1}``."""
-    lex = EmotionLexicon()
-    seen = {}
+    """Parse the tab-separated triple format ``word<TAB>emotion<TAB>{0,1}``.
+
+    Each word's lines fold into two 10-bit integers, the dimensions named so
+    far and the ones set to 1, so a repeated (word, emotion) line is checked
+    without a per-line key or array; the bit table is built once at the end.
+    """
+    named, ones = {}, {}
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -82,13 +93,14 @@ def load_lexicon(path):
                 raise DataError(f"{path}: line {lineno}: unknown emotion label '{emotion}'")
             if flag not in ("0", "1"):
                 raise DataError(f"{path}: line {lineno}: association must be 0 or 1, got '{flag}'")
-            key = (word, emotion)
-            value = int(flag)
-            if key in seen and seen[key] != value:
-                raise DataError(f"{path}: line {lineno}: conflicting duplicate for {key}")
-            seen[key] = value
-            lex._set(word, _EMOTION_INDEX[emotion], value)
-    return lex
+            bit = 1 << _EMOTION_INDEX[emotion]
+            seen, set_ = named.get(word, 0), ones.get(word, 0)
+            if seen & bit and bool(set_ & bit) != (flag == "1"):
+                raise DataError(f"{path}: line {lineno}: conflicting duplicate for {(word, emotion)}")
+            named[word] = seen | bit
+            if flag == "1":
+                ones[word] = set_ | bit
+    return EmotionLexicon._from_bits(list(named), [ones.get(word, 0) for word in named])
 
 
 def segment_words(tokens, n_segments=DEFAULT_SEGMENTS):

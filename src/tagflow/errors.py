@@ -44,10 +44,10 @@ def check_types(config, ints=(), numbers=(), int_tuples=()):
 
 
 @contextmanager
-def open_text(path, newline=None):
-    """Open ``path`` to read as UTF-8; bytes that do not decode raise DataError naming it."""
+def open_text(path, newline=None, error=DataError):
+    """Open ``path`` to read as UTF-8; bytes that do not decode raise ``error`` naming it."""
     with open(path, encoding="utf-8", newline=newline) as f:
         try:
             yield f
         except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text: byte 0x{e.object[e.start]:02x}: {e.reason}") from None
+            raise error(f"{path}: not UTF-8 text: byte 0x{e.object[e.start]:02x}: {e.reason}") from None

@@ -20,15 +20,15 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    _grad_buffer,
+    _make,
     concat,
     constant,
     embedding_gather,
     kl_divergence,
-    mul,
     recording,
     relu,
     reshape,
-    sigmoid,
     softmax_last_axis,
     tanh,
     window_max_pool,
@@ -173,19 +173,6 @@ class LstmCell:
         self.W_so, self.W_ho = _param(rng, d, h, dtype), _param(rng, h, h, dtype)
         self.b_o = _bias(h, dtype)
 
-    def initial_state(self):
-        zeros = np.zeros((1, self.hidden_dim), dtype=self.dtype)
-        return constant(zeros), constant(zeros.copy())
-
-    def step(self, s_t, h_prev, c_prev):
-        i_t = sigmoid(s_t @ self.W_si + h_prev @ self.W_hi + c_prev @ self.W_ci + self.b_i)
-        f_t = sigmoid(s_t @ self.W_sf + h_prev @ self.W_hf + c_prev @ self.W_cf + self.b_f)
-        candidate = tanh(s_t @ self.W_sc + h_prev @ self.W_hc + self.b_c)
-        c_t = mul(f_t, c_prev) + mul(i_t, candidate)
-        o_t = sigmoid(s_t @ self.W_so + h_prev @ self.W_ho + self.b_o)
-        h_t = mul(o_t, tanh(c_t))
-        return h_t, c_t
-
     def parameters(self):
         return {
             "W_si": self.W_si, "W_hi": self.W_hi, "W_ci": self.W_ci, "b_i": self.b_i,
@@ -195,6 +182,35 @@ class LstmCell:
         }
 
 
+#: Column order of the four gates in the stacked weights: the three sigmoid
+#: gates, then the tanh candidate, so each activation reads one contiguous run.
+_GATES = "ifoc"
+
+
+def _sigmoid(x):
+    z = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+
+def _stacked_blocks(cells, h):
+    """Where each cell parameter sits in the stacked matrices.
+
+    Yields ``(tensor, matrix, (direction, rows, cols))`` for all 14
+    parameters of each cell.  Matrix 0 is the input projection W_s
+    (2, d, 4h), matrix 1 the recurrent W (2, 2h, 4h) that multiplies
+    [h_{t-1} ; c_{t-1}] (its c rows feed only the input and forget gates),
+    and matrix 2 the bias (2, 1, 4h).
+    """
+    for direction, cell in enumerate(cells):
+        for j, gate in enumerate(_GATES):
+            cols = slice(j * h, (j + 1) * h)
+            yield getattr(cell, f"W_s{gate}"), 0, (direction, slice(None), cols)
+            yield getattr(cell, f"W_h{gate}"), 1, (direction, slice(0, h), cols)
+            yield getattr(cell, f"b_{gate}"), 2, (direction, slice(None), cols)
+            if gate in "if":
+                yield getattr(cell, f"W_c{gate}"), 1, (direction, slice(h, 2 * h), cols)
+
+
 def bilstm_forward(flow, fwd_cell, bwd_cell):
     """Run both directions over an (N, input_dim) sequence.
 
@@ -202,28 +218,89 @@ def bilstm_forward(flow, fwd_cell, bwd_cell):
     equal to [forward h_t ; backward h_t], and ``final`` is (1, 2 * hidden)
     holding each direction's last computed state, i.e. [forward h_N ;
     backward h_1].
+
+    Both directions run together on a leading axis of 2, the backward one
+    over the reversed rows, with each cell's gate weights stacked as in
+    ``_stacked_blocks``.  The input projection ``flow @ W_s + b`` is one GEMM
+    before the loop; each step is one (1, 2h) x (2h, 4h) product per
+    direction plus the gate arithmetic.  On a tape the recurrence is one
+    node over the 28 cell parameters whose backward is hand-written BPTT
+    over the gate activations, which only that node keeps, and ``final`` is
+    a second node that adds its gradient into the rows of ``states`` it
+    copied.
     """
     flow = np.asarray(flow)
     n_steps = flow.shape[0]
     if n_steps < 1:
         raise ValueError("bilstm_forward requires at least one timestep")
-    rows = [constant(flow[t:t + 1], dtype=fwd_cell.dtype) for t in range(n_steps)]
+    h, dim, dtype = fwd_cell.hidden_dim, fwd_cell.input_dim, fwd_cell.dtype
+    if (bwd_cell.hidden_dim, bwd_cell.input_dim) != (h, dim) or flow.shape[1:] != (dim,):
+        raise ValueError(
+            f"bilstm_forward shape mismatch: flow {flow.shape}, cells "
+            f"{fwd_cell.input_dim}->{fwd_cell.hidden_dim} and {bwd_cell.input_dim}->{bwd_cell.hidden_dim}"
+        )
+    blocks = list(_stacked_blocks((fwd_cell, bwd_cell), h))
+    params = [p for p, _, _ in blocks]
+    stacked = (np.empty((2, dim, 4 * h), dtype), np.zeros((2, 2 * h, 4 * h), dtype),
+               np.empty((2, 1, 4 * h), dtype))
+    for p, m, where in blocks:
+        stacked[m][where] = p.data
+    w_s, w_rec, bias = stacked
 
-    h, c = fwd_cell.initial_state()
-    fwd_states = []
-    for t in range(n_steps):
-        h, c = fwd_cell.step(rows[t], h, c)
-        fwd_states.append(h)
+    x = flow.astype(dtype, copy=False)
+    xs = np.stack([x, x[::-1]])                            # (2, N, d) in step order
+    pre = np.matmul(xs, w_s) + bias                        # (2, N, 4h)
+    hc = np.zeros((2, n_steps + 1, 2 * h), dtype)          # [h ; c] before step k is hc[:, k]
+    gates = np.empty((2, n_steps, 4 * h), dtype)           # i, f, o, candidate after activation
+    tanh_c = np.empty((2, n_steps, h), dtype)
+    for k in range(n_steps):
+        z = pre[:, k:k + 1] + np.matmul(hc[:, k:k + 1], w_rec)
+        a = gates[:, k:k + 1]
+        a[..., :3 * h] = _sigmoid(z[..., :3 * h])
+        a[..., 3 * h:] = np.tanh(z[..., 3 * h:])
+        c = a[..., h:2 * h] * hc[:, k:k + 1, h:] + a[..., :h] * a[..., 3 * h:]
+        hc[:, k + 1:k + 2, h:] = c
+        t = tanh_c[:, k:k + 1]
+        np.tanh(c, out=t)
+        np.multiply(a[..., 2 * h:3 * h], t, out=hc[:, k + 1:k + 2, :h])
+    states_data = np.concatenate([hc[0, 1:, :h], hc[1, :0:-1, :h]], axis=1)
 
-    h, c = bwd_cell.initial_state()
-    bwd_states = [None] * n_steps
-    for t in reversed(range(n_steps)):
-        h, c = bwd_cell.step(rows[t], h, c)
-        bwd_states[t] = h
+    def bwd(g):
+        dh_out = np.stack([g[:, :h], g[::-1, h:]])         # (2, N, h) in step order
+        dz = np.empty((2, n_steps, 4 * h), dtype)
+        dh = np.zeros((2, 1, h), dtype)
+        dc = np.zeros((2, 1, h), dtype)
+        w_rec_t = w_rec.transpose(0, 2, 1)
+        for k in reversed(range(n_steps)):
+            a = gates[:, k:k + 1]
+            i, f, o, cand = a[..., :h], a[..., h:2 * h], a[..., 2 * h:3 * h], a[..., 3 * h:]
+            t = tanh_c[:, k:k + 1]
+            dh = dh + dh_out[:, k:k + 1]
+            dc = dc + dh * o * (1 - t * t)
+            dz_k = dz[:, k:k + 1]                          # gate pre-activation gradients
+            dz_k[..., :h] = dc * cand * i * (1 - i)
+            dz_k[..., h:2 * h] = dc * hc[:, k:k + 1, h:] * f * (1 - f)
+            dz_k[..., 2 * h:3 * h] = dh * t * o * (1 - o)
+            dz_k[..., 3 * h:] = dc * i * (1 - cand * cand)
+            d_hc = np.matmul(dz_k, w_rec_t)
+            dh = d_hc[..., :h]
+            dc = dc * f + d_hc[..., h:]
+        grads = (np.matmul(xs.transpose(0, 2, 1), dz),
+                 np.matmul(hc[:, :-1].transpose(0, 2, 1), dz),
+                 dz.sum(axis=1, keepdims=True))
+        for p, m, where in blocks:
+            if p.requires_grad:
+                _grad_buffer(p)[...] += grads[m][where]
 
-    states = concat([concat(fwd_states, axis=0), concat(bwd_states, axis=0)], axis=-1)
-    final = concat([fwd_states[-1], bwd_states[0]], axis=-1)
-    return states, final
+    states = _make(states_data, params, bwd)
+    final_data = np.concatenate([states_data[-1:, :h], states_data[:1, h:]], axis=1)
+
+    def final_bwd(g):
+        buf = _grad_buffer(states)
+        buf[-1, :h] += g[0, :h]
+        buf[0, h:] += g[0, h:]
+
+    return states, _make(final_data, (states,), final_bwd)
 
 
 class Attention:

@@ -1,4 +1,4 @@
-"""Shared builders for the test suite: corpora, lexicons, prediction oracles."""
+"""Shared builders for the test suite: corpora, lexicons, prediction and LSTM oracles."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import csv
 
 import numpy as np
 
+from tagflow.autodiff import add, concat, constant, mul, tanh
 from tagflow.corpus import Split, SynopsisRecord
 
 CORPUS_COLUMNS = ("movie_id", "title", "plot_synopsis", "tags", "split", "synopsis_source")
@@ -133,3 +134,47 @@ def random_metric_instance(rng, max_movies=10, max_tags=10):
         n_truth = int(rng.integers(0, n_tags + 1))
         truths[movie] = {vocab[i] for i in rng.choice(n_tags, size=n_truth, replace=False)}
     return preds, truths, vocab
+
+
+def _sigmoid_graph(x):
+    """sigmoid(x) = (1 + tanh(x / 2)) / 2 on the autodiff primitives."""
+    half = constant(np.asarray(0.5, dtype=x.dtype))
+    return mul(add(tanh(mul(x, half)), constant(np.asarray(1.0, dtype=x.dtype))), half)
+
+
+def _reference_lstm_step(cell, s_t, h_prev, c_prev):
+    """One step of the ``LstmCell`` docstring equations, one tape node per operation."""
+    i_t = _sigmoid_graph(s_t @ cell.W_si + h_prev @ cell.W_hi + c_prev @ cell.W_ci + cell.b_i)
+    f_t = _sigmoid_graph(s_t @ cell.W_sf + h_prev @ cell.W_hf + c_prev @ cell.W_cf + cell.b_f)
+    candidate = tanh(s_t @ cell.W_sc + h_prev @ cell.W_hc + cell.b_c)
+    c_t = mul(f_t, c_prev) + mul(i_t, candidate)
+    o_t = _sigmoid_graph(s_t @ cell.W_so + h_prev @ cell.W_ho + cell.b_o)
+    return mul(o_t, tanh(c_t)), c_t
+
+
+def reference_bilstm(flow, fwd_cell, bwd_cell):
+    """``bilstm_forward`` as a per-step graph of autodiff primitives.
+
+    Same ``(states, final)`` contract; the oracle the fused node is
+    checked against.
+    """
+    flow = np.asarray(flow)
+    n_steps = flow.shape[0]
+    rows = [constant(flow[t:t + 1], dtype=fwd_cell.dtype) for t in range(n_steps)]
+    zeros = np.zeros((1, fwd_cell.hidden_dim), dtype=fwd_cell.dtype)
+
+    h, c = constant(zeros), constant(zeros)
+    fwd_states = []
+    for t in range(n_steps):
+        h, c = _reference_lstm_step(fwd_cell, rows[t], h, c)
+        fwd_states.append(h)
+
+    h, c = constant(zeros), constant(zeros)
+    bwd_states = [None] * n_steps
+    for t in reversed(range(n_steps)):
+        h, c = _reference_lstm_step(bwd_cell, rows[t], h, c)
+        bwd_states[t] = h
+
+    states = concat([concat(fwd_states, axis=0), concat(bwd_states, axis=0)], axis=-1)
+    final = concat([fwd_states[-1], bwd_states[0]], axis=-1)
+    return states, final

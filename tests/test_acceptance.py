@@ -147,17 +147,14 @@ def test_criterion_3_gradient_verification():
     gradcheck(lambda: sum_(conv_bank_forward(x, bank)),
               list(bank.parameters().values()), np.random.default_rng(0))
 
-    # LSTM cell through two steps (state feedback active)
+    # LSTM cell through two steps (state feedback active), in both directions
     rng = np.random.default_rng(6)
     cell = LstmCell(10, 16, rng, dtype=np.float64)
-    x1 = constant(rng.standard_normal((1, 10)))
-    x2 = constant(rng.standard_normal((1, 10)))
+    two_steps = np.concatenate([rng.standard_normal((1, 10)), rng.standard_normal((1, 10))])
 
     def lstm_loss():
-        h0, c0 = cell.initial_state()
-        h1, c1 = cell.step(x1, h0, c0)
-        h2, c2 = cell.step(x2, h1, c1)
-        return sum_(h2) + sum_(c2)
+        states, final = bilstm_forward(two_steps, cell, cell)
+        return sum_(states) + sum_(final)
 
     gradcheck(lstm_loss, list(cell.parameters().values()), np.random.default_rng(1), samples=4)
 

@@ -437,3 +437,14 @@ class TestNonUtf8DataFiles:
         assert status == 2
         assert str(bad) in err and "not UTF-8" in err and "0xe9" in err
         assert "Traceback" not in err
+
+
+def test_non_utf8_config_exits_1_naming_the_file(toy_corpus_path, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes('{"model": {"variant": "caf\u00e9"}}'.encode("latin-1"))
+    status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
+                   "--config", str(config)])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert f"{config}: not UTF-8 text: byte 0xe9: invalid continuation byte" in err
+    assert "Traceback" not in err

@@ -74,6 +74,12 @@ class TestLexicon:
         with pytest.raises(DataError, match="line 2"):
             load_lexicon(path)
 
+    def test_conflict_from_zero_to_one_rejected(self, tmp_path):
+        # another emotion of the same word in between must not mask the conflict
+        path = write_lexicon(tmp_path / "bad.txt", "gleam\tjoy\t0\ngleam\tfear\t1\ngleam\tjoy\t1\n")
+        with pytest.raises(DataError, match=r"line 3: conflicting duplicate for \('gleam', 'joy'\)"):
+            load_lexicon(path)
+
     def test_consistent_duplicate_tolerated(self, tmp_path):
         path = write_lexicon(tmp_path / "dup.txt", "gleam\tjoy\t1\ngleam\tjoy\t1\n")
         lex = load_lexicon(path)

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import make_record
+from helpers import make_record, reference_bilstm
 from tagflow import layers
 from tagflow.autodiff import (
     Tape,
@@ -258,34 +258,33 @@ class TestLstmCell:
         assert cell.b_f.data[0, 0] == 1.0
         assert cell.b_i.data[0, 0] == 0.0
 
+    # The cell's behaviour is read through bilstm_forward with the cell in
+    # both directions: the forward half of row t is h_{t+1} of one cell run.
     def test_zero_input_and_state_stay_zero(self):
         cell = LstmCell(10, 16, np.random.default_rng(2))
-        h0, c0 = cell.initial_state()
-        h1, c1 = cell.step(constant(np.zeros((1, 10), dtype=np.float32)), h0, c0)
-        npt.assert_array_equal(h1.data, np.zeros((1, 16), dtype=np.float32))
-        npt.assert_array_equal(c1.data, np.zeros((1, 16), dtype=np.float32))
+        # two steps: a nonzero c_1 would show in h_2
+        states, final = bilstm_forward(np.zeros((2, 10), dtype=np.float32), cell, cell)
+        npt.assert_array_equal(states.data, np.zeros((2, 32), dtype=np.float32))
+        npt.assert_array_equal(final.data, np.zeros((1, 32), dtype=np.float32))
 
     def test_hidden_state_is_bounded(self):
         rng = np.random.default_rng(3)
         cell = LstmCell(10, 16, rng)
-        h, c = cell.initial_state()
-        for _ in range(30):
-            x = constant((100.0 * rng.random((1, 10))).astype(np.float32))
-            h, c = cell.step(x, h, c)
-            # strict in exact arithmetic; float32 saturates to 1 at this scale
-            assert np.abs(h.data).max() <= 1.0
+        flow = (100.0 * rng.random((30, 10))).astype(np.float32)
+        states, final = bilstm_forward(flow, cell, cell)
+        # strict in exact arithmetic; float32 saturates to 1 at this scale
+        assert np.abs(states.data).max() <= 1.0
+        assert np.abs(final.data).max() <= 1.0
 
     def test_cell_state_feeds_input_and_forget_gates(self):
         rng = np.random.default_rng(4)
         cell = LstmCell(3, 4, rng)
-        x1 = constant(rng.standard_normal((1, 3)).astype(np.float32))
-        x2 = constant(rng.standard_normal((1, 3)).astype(np.float32))
+        x1 = rng.standard_normal((1, 3)).astype(np.float32)
+        x2 = rng.standard_normal((1, 3)).astype(np.float32)
 
         def second_step():
-            h0, c0 = cell.initial_state()
-            h1, c1 = cell.step(x1, h0, c0)
-            h2, _ = cell.step(x2, h1, c1)
-            return h2.data.copy()
+            states, _ = bilstm_forward(np.concatenate([x1, x2]), cell, cell)
+            return states.data[1, :4].copy()
 
         base = second_step()
         for peephole in (cell.W_ci, cell.W_cf):
@@ -297,14 +296,11 @@ class TestLstmCell:
     def test_gradcheck_through_two_steps(self):
         rng = np.random.default_rng(6)
         cell = LstmCell(10, 16, rng, dtype=np.float64)
-        x1 = constant(rng.standard_normal((1, 10)))
-        x2 = constant(rng.standard_normal((1, 10)))
+        flow = np.concatenate([rng.standard_normal((1, 10)), rng.standard_normal((1, 10))])
 
         def loss():
-            h0, c0 = cell.initial_state()
-            h1, c1 = cell.step(x1, h0, c0)
-            h2, c2 = cell.step(x2, h1, c1)
-            return sum_(h2) + sum_(c2)
+            states, final = bilstm_forward(flow, cell, cell)
+            return sum_(states) + sum_(final)
 
         gradcheck(loss, list(cell.parameters().values()), np.random.default_rng(1), samples=4)
 
@@ -353,6 +349,110 @@ class TestBilstm:
             return sum_(states) + sum_(final)
 
         gradcheck(loss, params, np.random.default_rng(2), samples=3)
+
+    def test_gates_stable_at_extremes(self):
+        rng = np.random.default_rng(9)
+        fwd, bwd = LstmCell(10, 4, rng), LstmCell(10, 4, rng)
+        flow = np.concatenate([np.full((3, 10), 1e4), np.full((3, 10), -1e4)]).astype(np.float32)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            states, final = bilstm_forward(flow, fwd, bwd)
+        assert np.isfinite(states.data).all() and np.abs(states.data).max() <= 1.0
+
+
+def _cells(seed, n_in=10, hidden=16, dtype=np.float32):
+    rng = np.random.default_rng(seed)
+    return LstmCell(n_in, hidden, rng, dtype), LstmCell(n_in, hidden, rng, dtype)
+
+
+def _lstm_params(fwd, bwd):
+    return list(fwd.parameters().values()) + list(bwd.parameters().values())
+
+
+class TestFusedBilstm:
+    """The fused node against the per-step graph in ``helpers.reference_bilstm``."""
+
+    @staticmethod
+    def _run(forward, flow, fwd, bwd, coef_states, coef_final):
+        params = _lstm_params(fwd, bwd)
+        for p in params:
+            p.zero_grad()
+        with Tape():
+            states, final = forward(flow, fwd, bwd)
+            loss = sum_(mul(states, constant(coef_states))) + sum_(mul(final, constant(coef_final)))
+        backward(loss)
+        return states.data, final.data, [p.grad.copy() for p in params]
+
+    def test_matches_per_step_graph_in_float32(self):
+        fwd, bwd = _cells(0)
+        rng = np.random.default_rng(1)
+        flow = rng.random((20, 10)).astype(np.float32)
+        coef_states = rng.standard_normal((20, 32)).astype(np.float32)
+        coef_final = rng.standard_normal((1, 32)).astype(np.float32)
+        states, final, grads = self._run(bilstm_forward, flow, fwd, bwd, coef_states, coef_final)
+        ref_states, ref_final, ref_grads = self._run(reference_bilstm, flow, fwd, bwd, coef_states, coef_final)
+        npt.assert_allclose(states, ref_states, rtol=0, atol=1e-6)
+        npt.assert_allclose(final, ref_final, rtol=0, atol=1e-6)
+        assert len(grads) == 28
+        scale = max(np.abs(g).max() for g in ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            npt.assert_allclose(g, ref, rtol=0, atol=1e-6 * scale)
+            assert np.abs(ref).max() > 0  # every parameter is reached
+
+    def test_records_at_most_three_tape_nodes(self):
+        fwd, bwd = _cells(2)
+        flow = np.random.default_rng(3).random((20, 10)).astype(np.float32)
+        with Tape() as tape:
+            bilstm_forward(flow, fwd, bwd)
+        assert 1 <= len(tape) <= 3
+
+    def test_tape_free_call_matches_taped(self):
+        fwd, bwd = _cells(4)
+        flow = np.random.default_rng(5).random((20, 10)).astype(np.float32)
+        free_states, free_final = bilstm_forward(flow, fwd, bwd)
+        with Tape():
+            states, final = bilstm_forward(flow, fwd, bwd)
+        npt.assert_array_equal(free_states.data, states.data)
+        npt.assert_array_equal(free_final.data, final.data)
+
+    @pytest.mark.parametrize("case", ["one_step", "zero_flow", "saturated"])
+    def test_gradcheck(self, case):
+        fwd, bwd = _cells(10, hidden=3, dtype=np.float64)
+        rng = np.random.default_rng(11)
+        flow = {
+            "one_step": rng.standard_normal((1, 10)),
+            "zero_flow": np.zeros((5, 10)),
+            "saturated": 100.0 * rng.standard_normal((5, 10)),
+        }[case]
+
+        def loss():
+            states, final = bilstm_forward(flow, fwd, bwd)
+            return sum_(states) + sum_(final)
+
+        # a W_s step of h moves a pre-activation by h * |flow|, so shrink h by
+        # the flow's scale to keep the central difference's error small
+        h = 1e-3 / max(1.0, np.abs(flow).max())
+        gradcheck(loss, _lstm_params(fwd, bwd), np.random.default_rng(12), samples=3, h=h)
+
+    def test_gradcheck_weights_every_row_of_states_and_final(self):
+        fwd, bwd = _cells(13, hidden=3, dtype=np.float64)
+        rng = np.random.default_rng(14)
+        flow = rng.standard_normal((6, 10))
+        coef_states = constant(rng.standard_normal((6, 6)))
+        coef_final = constant(rng.standard_normal((1, 6)))
+
+        def loss():
+            states, final = bilstm_forward(flow, fwd, bwd)
+            return sum_(mul(states, coef_states)) + sum_(mul(final, coef_final))
+
+        gradcheck(loss, _lstm_params(fwd, bwd), np.random.default_rng(15), samples=4)
+
+    def test_mismatched_cells_rejected(self):
+        rng = np.random.default_rng(17)
+        flow = np.zeros((3, 10), dtype=np.float32)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bilstm_forward(flow, LstmCell(10, 4, rng), LstmCell(10, 5, rng))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bilstm_forward(np.zeros((3, 9), dtype=np.float32), LstmCell(10, 4, rng), LstmCell(10, 4, rng))
 
 
 class TestAttention:

@@ -141,6 +141,23 @@ class TestDeterminism:
         for name, p in a[0].parameters().items():
             npt.assert_array_equal(p.data, b[0].parameters()[name].data, err_msg=name)
 
+    def test_same_seed_reproduces_cnn_fe_parameters(self):
+        # the emotion branch's hand-written Bi-LSTM backward is on this path
+        config = small_config(n_tags=3, dropout=0.4)
+        examples = make_examples(config, 6)
+        val = make_examples(config, 3, seed=2)
+        weights = ClassWeights(n_examples=9, tag_counts=(2, 3, 4))
+        runs = []
+        for _ in range(2):
+            trained, history = train(build_model(config), examples, val, quick_train_config(),
+                                     class_weights=weights)
+            runs.append((trained, history))
+        a, b = runs
+        assert a[1].train_losses == b[1].train_losses
+        for name, p in a[0].parameters().items():
+            npt.assert_array_equal(p.data, b[0].parameters()[name].data, err_msg=name)
+        assert any(name.startswith("lstm_") for name in a[0].parameters())
+
     def test_different_train_seed_changes_the_run(self):
         config = tiny_config()
         examples = make_examples(config, 6)
