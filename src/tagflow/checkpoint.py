@@ -18,6 +18,7 @@ Arrays are stored as float32 regardless of the in-memory precision.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -103,64 +104,83 @@ def _class_weights(path, meta):
     return ClassWeights(n_examples=cw["n_examples"], tag_counts=tuple(cw["tag_counts"]))
 
 
+def _check_widths(path, config, vocab, tag_vocab, class_weights):
+    """The stored vocabularies and class weights must fit the model's widths."""
+    if vocab is not None and len(vocab) > config.vocab_size:
+        raise DataError(f"{path}: checkpoint 'vocab' holds {len(vocab)} words, "
+                        f"more than vocab_size {config.vocab_size}")
+    for key, n in (("tag_vocab", None if tag_vocab is None else len(tag_vocab)),
+                   ("class_weights", None if class_weights is None else class_weights.n_tags)):
+        if n is not None and n != config.n_tags:
+            raise DataError(f"{path}: checkpoint '{key}' covers {n} tags, but n_tags is {config.n_tags}")
+
+
 def load_checkpoint(path, dtype=np.float32):
     """Rebuild a model whose forward outputs match the saved one bit-for-bit.
 
     (Bit-identity holds at float32, the storage precision; pass
     ``dtype=np.float64`` to upcast the stored values.)
+
+    Nothing is drawn: the model starts with unfilled parameters, and every
+    name, shape and size in the manifest is checked against them and against
+    the file's length before any array is allocated.  Each array is then read
+    straight into its own fresh buffer.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _HEADER.size:
-        raise DataError(f"{path}: truncated checkpoint (no header)")
-    magic, version, meta_len = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise DataError(f"{path}: not a checkpoint file (bad magic bytes)")
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version} (expected {VERSION})")
-    meta_end = _HEADER.size + meta_len
-    if len(blob) < meta_end:
-        raise DataError(f"{path}: truncated checkpoint (incomplete metadata)")
-    try:
-        meta = json.loads(blob[_HEADER.size:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: corrupt checkpoint metadata: {e}") from None
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DataError(f"{path}: truncated checkpoint (no header)")
+        magic, version, meta_len = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise DataError(f"{path}: not a checkpoint file (bad magic bytes)")
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version} (expected {VERSION})")
+        meta_end = _HEADER.size + meta_len
+        if size < meta_end:
+            raise DataError(f"{path}: truncated checkpoint (incomplete metadata)")
+        try:
+            meta = json.loads(f.read(meta_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"{path}: corrupt checkpoint metadata: {e}") from None
 
-    manifest = _manifest(path, meta)
-    vocab = _string_list(path, meta, "vocab")
-    tag_vocab = _string_list(path, meta, "tag_vocab")
-    class_weights = _class_weights(path, meta)
-    stored = meta["config"]
-    try:
-        config = ModelConfig.from_dict(stored)
-    except (ConfigError, TypeError, ValueError) as e:
-        if not set(stored) <= set(ModelConfig.__dataclass_fields__):
-            raise ConfigError(f"{path}: {e}") from None  # unknown keys stay config errors
-        raise DataError(f"{path}: malformed model config: {e}") from None
-    model = TagModel(config, dtype=dtype)
-    params = model.parameters()
-    names = [entry["name"] for entry in manifest]
-    if set(names) != set(params):
-        missing = sorted(set(params) - set(names))
-        extra = sorted(set(names) - set(params))
-        raise DataError(f"{path}: parameter mismatch (missing {missing}, unexpected {extra})")
+        manifest = _manifest(path, meta)
+        vocab = _string_list(path, meta, "vocab")
+        tag_vocab = _string_list(path, meta, "tag_vocab")
+        class_weights = _class_weights(path, meta)
+        stored = meta["config"]
+        try:
+            config = ModelConfig.from_dict(stored)
+            model = TagModel._unfilled(config, dtype)
+        except (ConfigError, TypeError, ValueError) as e:
+            if not set(stored) <= set(ModelConfig.__dataclass_fields__):
+                raise ConfigError(f"{path}: {e}") from None  # unknown keys stay config errors
+            raise DataError(f"{path}: malformed model config: {e}") from None
+        _check_widths(path, config, vocab, tag_vocab, class_weights)
+        params = model.parameters()
+        names = [entry["name"] for entry in manifest]
+        if set(names) != set(params):
+            missing = sorted(set(params) - set(names))
+            extra = sorted(set(names) - set(params))
+            raise DataError(f"{path}: parameter mismatch (missing {missing}, unexpected {extra})")
 
-    offset = meta_end
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        tensor = params[entry["name"]]
-        if shape != tensor.data.shape:
-            raise DataError(
-                f"{path}: array '{entry['name']}' has shape {shape}, expected {tensor.data.shape}"
-            )
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
-        if offset + nbytes > len(blob):
-            raise DataError(f"{path}: truncated checkpoint (array '{entry['name']}' incomplete)")
-        raw = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape, dtype=np.int64)), offset=offset)
-        tensor.data = raw.reshape(shape).astype(dtype)
-        offset += nbytes
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes after the last array")
+        offset = meta_end
+        for entry in manifest:
+            shape = tuple(entry["shape"])
+            expected = params[entry["name"]].data.shape
+            if shape != expected:
+                raise DataError(f"{path}: array '{entry['name']}' has shape {shape}, expected {expected}")
+            offset += 4 * math.prod(shape)
+            if offset > size:
+                raise DataError(f"{path}: truncated checkpoint (array '{entry['name']}' incomplete)")
+        if offset != size:
+            raise DataError(f"{path}: {size - offset} trailing bytes after the last array")
+
+        for entry in manifest:
+            raw = np.empty(entry["shape"], dtype="<f4")
+            if f.readinto(raw) != raw.nbytes:  # the file shrank since it was measured
+                raise DataError(f"{path}: truncated checkpoint (array '{entry['name']}' incomplete)")
+            params[entry["name"]].data = raw if raw.dtype == dtype else raw.astype(dtype)
 
     if vocab is not None:
         model.vocab = Vocabulary(vocab)

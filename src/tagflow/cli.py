@@ -269,6 +269,9 @@ def _maybe_lexicon(model, args):
 
 def cmd_train(args):
     run = _resolve_run_config(args)
+    if run.model.lr != ModelConfig.lr:
+        print(f"warning: model.lr={run.model.lr!r} is ignored; train.lr sets RMSprop's learning rate",
+              file=sys.stderr)
     corpus_path = _require(run.corpus, "--corpus", "to train")
     out_dir = Path(_require(run.out, "--out", "to store the checkpoint"))
     if run.model.variant == "cnn_fe_pretrained":

@@ -8,7 +8,9 @@ parameters as grad-requiring tensors and expose them through
 
 Initialization: matrices are uniform in +-sqrt(6 / (fan_in + fan_out)),
 biases start at zero except the LSTM forget-gate bias, which starts at +1
-to keep early memory open.
+to keep early memory open.  Each layer draws from the ``rng`` it is given;
+with ``rng=None`` it draws nothing and every parameter is an unfilled
+stand-in of its shape (see ``_unfilled``), for a checkpoint to fill.
 """
 
 from __future__ import annotations
@@ -45,12 +47,22 @@ def glorot_uniform(rng, fan_in, fan_out, shape=None):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _param(rng, fan_in, fan_out, dtype, shape=None):
-    return Tensor(glorot_uniform(rng, fan_in, fan_out, shape), requires_grad=True, dtype=dtype)
+def _unfilled(shape, dtype):
+    """A read-only, zero-strided array of ``shape`` that holds no memory."""
+    try:
+        return np.broadcast_to(np.zeros((), dtype), shape)
+    except ValueError:  # numpy's "iterator is too large"
+        raise ValueError(f"a parameter of shape {shape} has more elements than an array can index") from None
 
 
-def _bias(width, dtype, fill=0.0):
-    return Tensor(np.full((1, width), fill), requires_grad=True, dtype=dtype)
+def _param(rng, fan_in, fan_out, dtype):
+    data = _unfilled((fan_in, fan_out), dtype) if rng is None else glorot_uniform(rng, fan_in, fan_out)
+    return Tensor(data, requires_grad=True, dtype=dtype)
+
+
+def _bias(rng, width, dtype, fill=0.0):
+    data = _unfilled((1, width), dtype) if rng is None else np.full((1, width), fill)
+    return Tensor(data, requires_grad=True, dtype=dtype)
 
 
 class Embedding:
@@ -65,7 +77,8 @@ class Embedding:
         self.n_rows = n_rows
         self.dim = dim
         self.table = _param(rng, n_rows, dim, dtype)
-        self.table.data[0] = 0.0
+        if rng is not None:
+            self.reset_padding_row()
 
     def lookup(self, indices):
         """(T,) int indices -> (T, dim) tensor, differentiable into the table."""
@@ -94,7 +107,7 @@ class ConvBank:
         self.biases = {}
         for c in self.filter_sizes:
             self.weights[c] = _param(rng, c * embed_dim, n_filters, dtype)
-            self.biases[c] = _bias(n_filters, dtype)
+            self.biases[c] = _bias(rng, n_filters, dtype)
 
     @property
     def output_dim(self):
@@ -165,13 +178,13 @@ class LstmCell:
         self.dtype = dtype
         d, h = input_dim, hidden_dim
         self.W_si, self.W_hi, self.W_ci = _param(rng, d, h, dtype), _param(rng, h, h, dtype), _param(rng, h, h, dtype)
-        self.b_i = _bias(h, dtype)
+        self.b_i = _bias(rng, h, dtype)
         self.W_sf, self.W_hf, self.W_cf = _param(rng, d, h, dtype), _param(rng, h, h, dtype), _param(rng, h, h, dtype)
-        self.b_f = _bias(h, dtype, fill=1.0)
+        self.b_f = _bias(rng, h, dtype, fill=1.0)
         self.W_sc, self.W_hc = _param(rng, d, h, dtype), _param(rng, h, h, dtype)
-        self.b_c = _bias(h, dtype)
+        self.b_c = _bias(rng, h, dtype)
         self.W_so, self.W_ho = _param(rng, d, h, dtype), _param(rng, h, h, dtype)
-        self.b_o = _bias(h, dtype)
+        self.b_o = _bias(rng, h, dtype)
 
     def parameters(self):
         return {
@@ -310,7 +323,7 @@ class Attention:
         self.state_dim = state_dim
         self.proj_dim = proj_dim
         self.W_a = _param(rng, state_dim, proj_dim, dtype)
-        self.b_a = _bias(proj_dim, dtype)
+        self.b_a = _bias(rng, proj_dim, dtype)
         self.v = _param(rng, proj_dim, 1, dtype)
 
     def parameters(self):
@@ -340,7 +353,7 @@ class Dense:
         self.out_dim = out_dim
         self.activation = activation
         self.weight = _param(rng, in_dim, out_dim, dtype)
-        self.bias = _bias(out_dim, dtype)
+        self.bias = _bias(rng, out_dim, dtype)
 
     def forward(self, x):
         y = x @ self.weight + self.bias

@@ -42,6 +42,10 @@ VARIANTS = ("cnn", "cnn_cw", "cnn_fe", "cnn_fe_pretrained")
 #: Variants whose training loss is tag-frequency weighted by default.
 CLASS_WEIGHTED_VARIANTS = ("cnn_cw", "cnn_fe", "cnn_fe_pretrained")
 
+#: Largest ``seq_len`` and ``n_segments``. Every input is encoded to that many
+#: rows, so a larger value fails validation rather than the first encode.
+MAX_INPUT_ROWS = 10**6
+
 
 @dataclass
 class ModelConfig:
@@ -77,6 +81,10 @@ class ModelConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("seq_len", "n_segments"):
+            value = getattr(self, name)
+            if value > MAX_INPUT_ROWS:
+                raise ConfigError(f"{name} must be at most {MAX_INPUT_ROWS}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.filter_sizes or any(c < 1 for c in self.filter_sizes):
@@ -124,12 +132,26 @@ class TagModel:
     """
 
     def __init__(self, config, dtype=np.float32):
+        self._assemble(config, dtype, np.random.default_rng(config.seed))
+
+    @classmethod
+    def _unfilled(cls, config, dtype=np.float32):
+        """The model with every parameter an unfilled stand-in of its shape.
+
+        Nothing is drawn and nothing in proportion to the parameter count is
+        allocated, so ``load_checkpoint`` can check a file's manifest against
+        ``parameters()`` before it reads any array into place.
+        """
+        model = cls.__new__(cls)
+        model._assemble(config, dtype, None)
+        return model
+
+    def _assemble(self, config, dtype, rng):
         self.config = config
         self.dtype = dtype
         self.vocab = None
         self.tag_vocab = None
         self.class_weights = None
-        rng = np.random.default_rng(config.seed)
         # construction order is fixed: it defines the rng draw sequence
         self.embedding = Embedding(config.vocab_size + 2, config.embed_dim, rng, dtype)
         self.conv = ConvBank(config.filter_sizes, config.filters_per_size, config.embed_dim, rng, dtype)

@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import NumericError
 
+#: Elements per block of ``RmsProp.step``: each block runs the whole update
+#: through two scratch buffers of this length, which stay in cache.
+BLOCK = 32 * 1024
+
 
 class RmsProp:
     """Stateful optimizer over a named parameter set.
@@ -19,6 +23,10 @@ class RmsProp:
     ``params`` maps names to grad-requiring tensors; ``step`` reads each
     tensor's accumulated gradient and mutates its values in place.  A
     non-finite gradient aborts the step before any parameter is touched.
+
+    A step runs the update rule in blocks of ``BLOCK`` elements, with the
+    operations in the rule's order, so it allocates no full-size temporaries
+    and gives the same bits as the rule applied to whole arrays.
     """
 
     def __init__(self, params, lr=1e-4, rho=0.9, eps=1e-8):
@@ -26,7 +34,8 @@ class RmsProp:
         self.lr = float(lr)
         self.rho = float(rho)
         self.eps = float(eps)
-        self.square_avg = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.square_avg = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in self.params.items()}
+        self._scratch = {}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -40,8 +49,23 @@ class RmsProp:
                 raise NumericError(f"non-finite gradient for parameter '{name}'; step aborted")
             grads[name] = g
         for name, p in self.params.items():
-            g = grads[name]
-            v = self.square_avg[name]
-            v *= self.rho
-            v += (1.0 - self.rho) * g * g
-            p.data -= self.lr * g / (np.sqrt(v) + self.eps)
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)
+            x, v, g = p.data.reshape(-1), self.square_avg[name].reshape(-1), grads[name].reshape(-1)
+            if x.dtype not in self._scratch:
+                self._scratch[x.dtype] = np.empty((2, BLOCK), x.dtype)
+            a, b = self._scratch[x.dtype]
+            for lo in range(0, x.size, BLOCK):
+                xb, vb, gb = x[lo:lo + BLOCK], v[lo:lo + BLOCK], g[lo:lo + BLOCK]
+                t, u = a[:xb.size], b[:xb.size]
+                # v <- rho * v + (1 - rho) * g * g
+                vb *= self.rho
+                np.multiply(gb, 1.0 - self.rho, out=t)
+                t *= gb
+                vb += t
+                # p <- p - lr * g / (sqrt(v) + eps)
+                np.sqrt(vb, out=t)
+                t += self.eps
+                np.multiply(gb, self.lr, out=u)
+                u /= t
+                xb -= u

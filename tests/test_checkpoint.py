@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -10,12 +11,15 @@ import numpy.testing as npt
 import pytest
 
 from test_model import random_inputs, small_config
+from tagflow import layers
+from tagflow.autodiff import Tape, kl_divergence
 from tagflow.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from tagflow.cli import main
 from tagflow.corpus import TagVocabulary, Vocabulary
 from tagflow.errors import DataError
 from tagflow.layers import ClassWeights
-from tagflow.model import build_model
+from tagflow.model import ModelConfig, build_model
+from tagflow.optim import RmsProp
 
 _HEADER = struct.Struct("<4sHQ")
 
@@ -118,6 +122,53 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestDrawFreeLoad:
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        model = build_fitted_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial values")
+
+        monkeypatch.setattr(layers, "glorot_uniform", refuse)
+        cloned = load_checkpoint(path).parameters()
+        for name, p in model.parameters().items():
+            npt.assert_array_equal(cloned[name].data, p.data, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loaded_arrays_are_fresh_writable_buffers(self, tmp_path, dtype):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_fitted_model(), path)
+        for name, p in load_checkpoint(path, dtype=dtype).parameters().items():
+            flags = p.data.flags
+            assert flags.c_contiguous and flags.aligned and flags.writeable and flags.owndata, name
+            assert p.data.dtype == dtype, name
+
+    def test_rmsprop_step_from_a_loaded_checkpoint_matches_the_in_memory_model(self, tmp_path):
+        model = build_model(small_config(seed=3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        clone = load_checkpoint(path)
+        tokens, flow = random_inputs(model.config, seed=4)
+        target = np.full(model.config.n_tags, 1.0 / model.config.n_tags)
+
+        def one_step(m):
+            with Tape() as tape:
+                loss = kl_divergence(target, m.forward(tokens, flow=flow))
+            tape.backward(loss)
+            opt = RmsProp(m.parameters(), lr=1e-3)
+            opt.step()
+            return {name: (p.data, opt.square_avg[name]) for name, p in m.parameters().items()}
+
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        expected, got = one_step(model), one_step(clone)
+        assert not np.array_equal(expected["dense_out.weight"][0], before["dense_out.weight"])
+        for name, (data, square_avg) in expected.items():
+            npt.assert_array_equal(got[name][0], data, err_msg=name)
+            npt.assert_array_equal(got[name][1], square_avg, err_msg=name)
+
+
 class TestCorruptionDetection:
     @pytest.fixture
     def saved(self, tmp_path):
@@ -203,16 +254,35 @@ class TestCorruptionDetection:
         lambda meta: meta["config"].update(lr=True),
         lambda meta: meta["config"].update(vocab_size=0),
         lambda meta: meta["config"].update(seed="x"),
+        lambda meta: meta["config"].update(seq_len=10**12),
+        lambda meta: meta["config"].update(n_segments=10**12),
+        lambda meta: meta["config"].update(dense_sizes=[10**12, 10**12]),
     ], ids=["no-config", "no-arrays", "no-name", "no-shape",
             "config-list", "arrays-dict", "shape-string",
             "vocab-int", "tag-vocab-string", "tag-vocab-mixed",
             "no-tag-counts", "zero-tag-count", "n-examples-string", "class-weights-list",
             "filter-sizes-int", "filter-sizes-strings", "dropout-string", "dropout-x", "lr-bool", "vocab-size-zero",
-            "seed-string"])
+            "seed-string", "seq-len-huge", "n-segments-huge", "dense-sizes-huge"])
     def test_missing_or_mistyped_metadata_exits_2(self, saved, mutate, capsys):
         rewrite_metadata(saved, mutate)
         assert main(["predict", "--checkpoint", str(saved), "--k", "1", "--text", "x"]) == 2
         assert str(saved) in capsys.readouterr().err
+
+    def test_oversized_vocabulary_exits_2_naming_the_file(self, saved, capsys):
+        rewrite_metadata(saved, lambda meta: meta["config"].update(vocab_size=10**12))
+        assert main(["predict", "--checkpoint", str(saved), "--k", "1", "--text", "x"]) == 2
+        assert str(saved) in capsys.readouterr().err
+
+    def test_manifest_larger_than_the_file_exits_2_before_allocating(self, saved, capsys):
+        # 10**15 rows of 5 floats is more than any address space holds, so
+        # only a size check made before allocating can report it
+        def mutate(meta):
+            meta["config"]["vocab_size"] = 10**15
+            meta["arrays"][0]["shape"][0] = 10**15 + 2
+        rewrite_metadata(saved, mutate)
+        assert main(["predict", "--checkpoint", str(saved), "--k", "1", "--text", "x"]) == 2
+        err = capsys.readouterr().err
+        assert str(saved) in err and "truncated" in err and "embedding.table" in err
 
     def test_config_key_smuggling_rejected(self, saved):
         def mutate(meta):
@@ -221,3 +291,76 @@ class TestCorruptionDetection:
         from tagflow.errors import ConfigError
         with pytest.raises(ConfigError, match="hidden_knob"):
             load_checkpoint(saved)
+
+
+def _fuzzed_checkpoints(blob, seed):
+    """``(label, bytes)`` for ~220 seeded corruptions of a saved checkpoint."""
+    rng = np.random.default_rng(seed)
+    magic, version, meta_len = _HEADER.unpack_from(blob)
+    meta_end = _HEADER.size + meta_len
+    meta = json.loads(blob[_HEADER.size:meta_end].decode("utf-8"))
+
+    def with_meta(mutate):
+        doc = json.loads(json.dumps(meta))
+        mutate(doc)
+        meta_bytes = json.dumps(doc).encode("utf-8")
+        return _HEADER.pack(magic, version, len(meta_bytes)) + meta_bytes + blob[meta_end:]
+
+    def flipped(pos):
+        out = bytearray(blob)
+        out[pos] ^= int(rng.integers(1, 256))
+        return bytes(out)
+
+    boundaries = [0, 4, 6, _HEADER.size, meta_end]
+    for entry in meta["arrays"]:
+        boundaries.append(boundaries[-1] + 4 * math.prod(entry["shape"]))
+    cuts = boundaries[:-1] + sorted(rng.integers(1, len(blob), size=30).tolist())
+    for n in cuts:
+        yield f"truncate@{n}", blob[:n]
+    for pos in range(_HEADER.size):
+        yield f"flip-header@{pos}", flipped(pos)
+    for pos in sorted(rng.integers(_HEADER.size, meta_end, size=60).tolist()):
+        yield f"flip-meta@{pos}", flipped(pos)
+
+    retypes = [None, 7, 1.5, "x", [], {}, True]
+    for key in ("config", "vocab", "tag_vocab", "class_weights", "arrays"):
+        yield f"drop-{key}", with_meta(lambda d, key=key: d.pop(key))
+        for value in retypes:
+            yield f"{key}={value!r}", with_meta(lambda d, key=key, value=value: d.update({key: value}))
+    for key in meta["config"]:
+        yield f"drop-config.{key}", with_meta(lambda d, key=key: d["config"].pop(key))
+        for value in retypes[::2]:
+            yield f"config.{key}={value!r}", with_meta(
+                lambda d, key=key, value=value: d["config"].update({key: value}))
+    for key in ("name", "shape"):
+        yield f"drop-arrays[0].{key}", with_meta(lambda d, key=key: d["arrays"][0].pop(key))
+        yield f"arrays[0].{key}=7", with_meta(lambda d, key=key: d["arrays"][0].update({key: 7}))
+    huge = 10**12
+    for field in ModelConfig.__dataclass_fields__:
+        if isinstance(meta["config"][field], int):
+            yield f"config.{field}=10**12", with_meta(
+                lambda d, field=field: d["config"].update({field: huge}))
+    for field in ("filter_sizes", "dense_sizes"):
+        yield f"config.{field}=[10**12]*2", with_meta(
+            lambda d, field=field: d["config"].update({field: [huge, huge]}))
+
+
+def test_fuzzed_checkpoints_exit_cleanly_and_name_the_file(tmp_path, synthetic_lexicon_path, capsys):
+    """No corruption of a checkpoint escapes as an exception from ``predict``."""
+    model = build_fitted_model(variant="cnn_fe")
+    model.tag_vocab = TagVocabulary(["anger", "joy", "murder", "romantic", "violence"])
+    source = tmp_path / "source.ckpt"
+    save_checkpoint(model, source)
+    blob = source.read_bytes()
+    path = tmp_path / "fuzzed.ckpt"
+    outcomes = {0: 0, 1: 0, 2: 0}
+    for label, data in _fuzzed_checkpoints(blob, seed=8):
+        path.write_bytes(data)
+        code = main(["predict", "--checkpoint", str(path), "--lexicon", str(synthetic_lexicon_path),
+                     "--k", "1", "--text", "word3 word7 joy murder"])
+        err = capsys.readouterr().err
+        assert code in outcomes, (label, code, err)
+        assert code == 0 or str(path) in err, (label, code, err)
+        outcomes[code] += 1
+    assert sum(outcomes.values()) >= 200
+    assert outcomes[2] > outcomes[0] > 0

@@ -144,6 +144,20 @@ class TestTrain:
         assert doc["model"]["seed"] == 7
         assert doc["train"]["seed"] == 7
 
+    def test_model_lr_warns_that_train_lr_is_the_one_used(self, toy_corpus_path, tmp_path, capsys):
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
+                       "--variant", "cnn", *TINY_DIMS, "--set", "model.lr=0.01"])
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert status == 0
+        assert len(warnings) == 1
+        assert "model.lr=0.01" in warnings[0] and "train.lr" in warnings[0]
+
+    def test_default_model_lr_gives_no_warning(self, toy_corpus_path, tmp_path, capsys):
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
+                       "--variant", "cnn", *TINY_DIMS, "--set", "train.lr=0.01"])
+        assert status == 0
+        assert "model.lr" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("assignment,named", [
         ("model.dropout=x", "[model] dropout"),
         ('train.batch_size="8"', "[train] batch_size"),

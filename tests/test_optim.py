@@ -8,7 +8,7 @@ import pytest
 
 from tagflow.autodiff import Tensor
 from tagflow.errors import NumericError
-from tagflow.optim import RmsProp
+from tagflow.optim import BLOCK, RmsProp
 
 
 def _param(value):
@@ -89,3 +89,47 @@ def test_lr_zero_is_bitwise_noop():
         p._grad = np.array([g])
         opt.step()
     npt.assert_array_equal(p.data, before)
+
+
+def _whole_array_step(data, square_avg, g, lr, rho, eps):
+    """The update rule on whole arrays, in the rule's operation order."""
+    square_avg *= rho
+    square_avg += (1.0 - rho) * g * g
+    data -= lr * g / (np.sqrt(square_avg) + eps)
+
+
+@pytest.mark.parametrize("shape", [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3, BLOCK // 2 + 1)],
+                         ids=["1", "block-1", "block", "block+1", "2d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_step_is_bit_identical_to_the_whole_array_rule(shape, dtype):
+    rng = np.random.default_rng(11)
+    p = Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+    data, square_avg = p.data.copy(), np.zeros(shape, dtype)
+    opt = RmsProp({"p": p}, lr=1e-3, rho=0.9, eps=1e-8)
+    for _ in range(3):
+        g = rng.standard_normal(shape).astype(dtype)
+        p._grad = g
+        opt.step()
+        _whole_array_step(data, square_avg, g, 1e-3, 0.9, 1e-8)
+    assert p.data.dtype == dtype
+    npt.assert_array_equal(p.data, data)
+    npt.assert_array_equal(opt.square_avg["p"], square_avg)
+
+
+def test_nan_in_the_last_block_of_the_last_parameter_touches_nothing():
+    rng = np.random.default_rng(12)
+    params = {name: Tensor(rng.standard_normal(size), requires_grad=True)
+              for name, size in (("a", 7), ("b", 2 * BLOCK + 5))}
+    opt = RmsProp(params, lr=1e-2)
+    for p in params.values():
+        p._grad = rng.standard_normal(p.data.shape).astype(np.float32)
+    opt.step()
+    before = {name: (p.data.copy(), opt.square_avg[name].copy()) for name, p in params.items()}
+    for p in params.values():
+        p._grad = rng.standard_normal(p.data.shape).astype(np.float32)
+    params["b"]._grad[-1] = np.nan
+    with pytest.raises(NumericError, match="'b'"):
+        opt.step()
+    for name, p in params.items():
+        npt.assert_array_equal(p.data, before[name][0])
+        npt.assert_array_equal(opt.square_avg[name], before[name][1])
