@@ -21,6 +21,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -43,11 +44,7 @@ def save_checkpoint(model, path):
         "config": model.config.to_dict(),
         "vocab": model.vocab.words if model.vocab is not None else None,
         "tag_vocab": model.tag_vocab.tags if model.tag_vocab is not None else None,
-        "class_weights": (
-            {"n_examples": model.class_weights.n_examples,
-             "tag_counts": list(model.class_weights.tag_counts)}
-            if model.class_weights is not None else None
-        ),
+        "class_weights": asdict(model.class_weights) if model.class_weights is not None else None,
         "arrays": manifest,
     }
     meta_bytes = json.dumps(meta).encode("utf-8")

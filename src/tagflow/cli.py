@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +33,15 @@ from .corpus import (
     validation_split,
 )
 from .emotion import DEFAULT_SEGMENTS, emotion_flow, flow_to_csv, load_lexicon
-from .errors import ConfigError, DataError, NumericError, open_text
+from .errors import ConfigError, DataError, NumericError, check_keys, open_text
 from .metrics import (
-    MetricsReport,
     baseline_most_frequent,
     baseline_random,
     evaluate_predictions,
     prediction_overlap,
     recall_delta,
 )
-from .model import VARIANTS, ModelConfig, build_model, load_pretrained_embeddings, predict_top_k
+from .model import MAX_INPUT_ROWS, VARIANTS, ModelConfig, build_model, load_pretrained_embeddings, predict_top_k
 from .training import TrainConfig, evaluate_loss, train
 
 
@@ -56,16 +55,6 @@ class RunConfig:
     lexicon: str | None = None
     embeddings: str | None = None
     out: str | None = None
-
-    def to_dict(self):
-        return {
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "corpus": self.corpus,
-            "lexicon": self.lexicon,
-            "embeddings": self.embeddings,
-            "out": self.out,
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,6 +109,7 @@ def _apply_set_overrides(doc, assignments):
 def _resolve_run_config(args):
     doc = _load_config_file(args.config) if getattr(args, "config", None) else {}
     _apply_set_overrides(doc, getattr(args, "set", None))
+    check_keys(doc, RunConfig, "config")
     for key in ("model", "train"):
         if not isinstance(doc.get(key, {}), dict):
             raise ConfigError(f"config key '{key}' must be an object, got {doc[key]!r}")
@@ -182,12 +172,21 @@ def _write_or_print(text, out_path):
         sys.stdout.write(text)
 
 
-def _prediction_lines(movie_id, ranked, probs, tag_vocab):
-    """One ``movie_id<TAB>rank<TAB>tag<TAB>probability`` line per ranked tag."""
-    return [
-        f"{movie_id}\t{rank}\t{tag}\t{float(probs[tag_vocab.index(tag)]):.6f}"
+def _write_report(report, out_dir, name, label=""):
+    """Print the report's summary line; with ``out_dir``, also write it to ``<name>.json`` there."""
+    print(label + report.summary_line())
+    if out_dir:
+        _write_or_print(report.to_json(), Path(out_dir) / f"{name}.json")
+
+
+def _prediction_text(rows, tag_vocab):
+    """One ``movie_id<TAB>rank<TAB>tag<TAB>probability`` line per ranked tag of
+    each ``(movie_id, ranked, probs)`` row."""
+    return "".join(
+        f"{movie_id}\t{rank}\t{tag}\t{float(probs[tag_vocab.index(tag)]):.6f}\n"
+        for movie_id, ranked, probs in rows
         for rank, tag in enumerate(ranked, start=1)
-    ]
+    )
 
 
 def _load_prediction_file(path):
@@ -250,17 +249,18 @@ def _read_corpus(path, need=()):
         splits = {split: [r for r in records if r.split is split] for split in Split}
         for split in need:
             if not splits[split]:
-                raise DataError(f"corpus has no {split.value} records")
+                raise DataError(f"{path}: corpus has no {split.value} records")
     return splits[Split.TRAIN], splits[Split.TEST]
 
 
-def _maybe_lexicon(model, args):
-    if not model.config.uses_flow:
+def _read_lexicon(path, config=None):
+    """The lexicon at ``path``, or None when ``config``'s variant has no flow
+    branch; without a ``config`` (``emotion-flow``) it is always needed."""
+    if config is not None and not config.uses_flow:
         return None
-    path = _require(getattr(args, "lexicon", None), "--lexicon",
-                    f"for variant '{model.config.variant}'")
+    why = f"for variant '{config.variant}'" if config is not None else "to score emotions"
     with _stage("lexicon"):
-        return load_lexicon(path)
+        return load_lexicon(_require(path, "--lexicon", why))
 
 
 # ---------------------------------------------------------------------------
@@ -276,23 +276,15 @@ def cmd_train(args):
     out_dir = Path(_require(run.out, "--out", "to store the checkpoint"))
     if run.model.variant == "cnn_fe_pretrained":
         _require(run.embeddings, "--embeddings", "for variant 'cnn_fe_pretrained'")
-    lexicon = None
-    if run.model.uses_flow:
-        lexicon_path = _require(run.lexicon, "--lexicon", f"for variant '{run.model.variant}'")
-        with _stage("lexicon"):
-            lexicon = load_lexicon(lexicon_path)
+    lexicon = _read_lexicon(run.lexicon, run.model)
 
     train_records, _ = _read_corpus(corpus_path, need=(Split.TRAIN,))
     with _stage("corpus"):
         stopwords = load_stopwords()
         vocab = build_vocabulary(train_records, max_words=run.model.vocab_size, stopwords=stopwords)
         tag_vocab = TagVocabulary.from_records(train_records)
-    if len(tag_vocab) != run.model.n_tags:
-        run.model.n_tags = len(tag_vocab)
-        run.model.validate()
-    if vocab.size != run.model.vocab_size:
-        run.model.vocab_size = vocab.size
-        run.model.validate()
+    run.model.n_tags, run.model.vocab_size = len(tag_vocab), vocab.size
+    run.model.validate()
 
     with _stage("encode"):
         examples = encode_records(
@@ -312,10 +304,7 @@ def cmd_train(args):
             coverage = load_pretrained_embeddings(run.embeddings, vocab, model.embedding)
             print(f"pretrained embedding coverage: {coverage:.1%}")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.json", "w", encoding="utf-8") as f:
-        json.dump(run.to_dict(), f, indent=2)
-        f.write("\n")
+    _write_or_print(json.dumps(asdict(run), indent=2) + "\n", out_dir / "config.json")
 
     with _stage("train"):
         model, history = train(model, train_examples, val_examples, run.train,
@@ -332,7 +321,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = _load_model(args)
-    lexicon = _maybe_lexicon(model, args)
+    lexicon = _read_lexicon(args.lexicon, model.config)
     k = _parse_k_list(args.k)
     if len(k) != 1:
         raise ConfigError("predict takes a single --k")
@@ -340,23 +329,21 @@ def cmd_predict(args):
     if not 1 <= k <= model.config.n_tags:
         raise ConfigError(f"--k must be in [1, {model.config.n_tags}]")
     stopwords = load_stopwords()
-    lines = []
+    rows = []
     with _stage("predict"):
         for movie_id, text in _read_input_texts(args):
             tokens, flow = _model_inputs(model, text, stopwords, lexicon)
             probs = model.forward(tokens, flow).data
-            ranked = predict_top_k(probs, k, model.tag_vocab)
-            lines.extend(_prediction_lines(movie_id, ranked, probs, model.tag_vocab))
-    _write_or_print("\n".join(lines) + "\n", getattr(args, "out", None))
+            rows.append((movie_id, predict_top_k(probs, k, model.tag_vocab), probs))
+    _write_or_print(_prediction_text(rows, model.tag_vocab), args.out)
     return 0
 
 
 def cmd_evaluate(args):
     model = _load_model(args)
-    lexicon = _maybe_lexicon(model, args)
-    corpus_path = _require(getattr(args, "corpus", None), "--corpus", "to evaluate")
+    lexicon = _read_lexicon(args.lexicon, model.config)
+    corpus_path = _require(args.corpus, "--corpus", "to evaluate")
     ks = _parse_k_list(args.k)
-    out_dir = Path(args.out) if getattr(args, "out", None) else None
     _, test_records = _read_corpus(corpus_path, need=(Split.TEST,))
     with _stage("corpus"):
         truths = {r.movie_id: set(r.tags) for r in test_records}
@@ -368,8 +355,7 @@ def cmd_evaluate(args):
     with _stage("evaluate"):
         prob_rows = {}
         for example in examples:
-            flow = example.flow if model.config.uses_flow else None
-            prob_rows[example.movie_id] = model.forward(example.tokens, flow).data
+            prob_rows[example.movie_id] = model.forward(example.tokens, example.flow).data
         mean_kl = evaluate_loss(model, examples)
         for k in ks:
             preds = {
@@ -381,24 +367,18 @@ def cmd_evaluate(args):
                 metadata={"variant": model.config.variant, "mean_kl": mean_kl,
                           "n_movies": len(preds)},
             )
-            print(report.summary_line())
-            if out_dir:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                with open(out_dir / f"metrics_k{k}.json", "w", encoding="utf-8") as f:
-                    f.write(report.to_json())
-                pred_lines = []
-                for movie, ranked in preds.items():
-                    pred_lines.extend(_prediction_lines(movie, ranked, prob_rows[movie], model.tag_vocab))
-                with open(out_dir / f"predictions_k{k}.tsv", "w", encoding="utf-8") as f:
-                    f.write("\n".join(pred_lines) + "\n")
+            _write_report(report, args.out, f"metrics_k{k}")
+            if args.out:
+                rows = ((movie, ranked, prob_rows[movie]) for movie, ranked in preds.items())
+                _write_or_print(_prediction_text(rows, model.tag_vocab),
+                                Path(args.out) / f"predictions_k{k}.tsv")
     return 0
 
 
 def cmd_baselines(args):
-    corpus_path = _require(getattr(args, "corpus", None), "--corpus", "to compute baselines")
+    corpus_path = _require(args.corpus, "--corpus", "to compute baselines")
     ks = _parse_k_list(args.k)
     seed = args.seed if args.seed is not None else 0
-    out_dir = Path(args.out) if getattr(args, "out", None) else None
     train_records, test_records = _read_corpus(corpus_path, need=(Split.TRAIN, Split.TEST))
     tag_vocab = TagVocabulary.from_records(train_records)
     truths = {r.movie_id: set(r.tags) for r in test_records}
@@ -413,16 +393,12 @@ def cmd_baselines(args):
                 metadata={"baseline": name, "seed": seed if name == "random" else None,
                           "n_movies": len(preds)},
             )
-            print(f"{name:>14}  {report.summary_line()}")
-            if out_dir:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                with open(out_dir / f"{name}_k{k}.json", "w", encoding="utf-8") as f:
-                    f.write(report.to_json())
+            _write_report(report, args.out, f"{name}_k{k}", label=f"{name:>14}  ")
     return 0
 
 
 def cmd_compare(args):
-    corpus_path = _require(getattr(args, "corpus", None), "--corpus", "to score both prediction sets")
+    corpus_path = _require(args.corpus, "--corpus", "to score both prediction sets")
     with _stage("predictions"):
         preds_a = _load_prediction_file(args.preds_a)
         preds_b = _load_prediction_file(args.preds_b)
@@ -431,10 +407,13 @@ def cmd_compare(args):
     truths = {r.movie_id: set(r.tags) for r in train_records + test_records}
 
     with _stage("compare"):
-        overlaps, bands = prediction_overlap(preds_a, preds_b)
-        k = len(next(iter(preds_a.values())))
-        report_a = evaluate_predictions(preds_a, truths, tag_vocab, k, metadata={"file": args.preds_a})
-        report_b = evaluate_predictions(preds_b, truths, tag_vocab, k, metadata={"file": args.preds_b})
+        try:
+            overlaps, bands = prediction_overlap(preds_a, preds_b)
+            k = len(next(iter(preds_a.values())))
+            report_a = evaluate_predictions(preds_a, truths, tag_vocab, k, metadata={"file": args.preds_a})
+            report_b = evaluate_predictions(preds_b, truths, tag_vocab, k, metadata={"file": args.preds_b})
+        except DataError as e:
+            raise DataError(f"{args.preds_a} vs {args.preds_b}: {e}") from None
         deltas = recall_delta(report_a, report_b)
 
     print("prediction overlap bands (fraction of movies):")
@@ -444,7 +423,7 @@ def cmd_compare(args):
     print(f"largest per-tag recall changes (a - b), top {len(shown)}:")
     for tag, delta in shown:
         print(f"  {delta:+.4f}  {tag}")
-    if getattr(args, "out", None):
+    if args.out:
         payload = {
             "overlap_bands": bands,
             "per_movie_overlap": overlaps,
@@ -457,15 +436,15 @@ def cmd_compare(args):
 
 
 def cmd_emotion_flow(args):
-    lexicon_path = _require(getattr(args, "lexicon", None), "--lexicon", "to score emotions")
-    with _stage("lexicon"):
-        lexicon = load_lexicon(lexicon_path)
+    if not 1 <= args.n_segments <= MAX_INPUT_ROWS:
+        raise ConfigError(f"--n-segments must be in [1, {MAX_INPUT_ROWS}], got {args.n_segments}")
+    lexicon = _read_lexicon(args.lexicon)
     pairs = _read_input_texts(args)
     if len(pairs) != 1:
         raise ConfigError("emotion-flow takes exactly one text")
     with _stage("emotion"):
         flow = emotion_flow(pairs[0][1], lexicon, args.n_segments)
-    _write_or_print(flow_to_csv(flow), getattr(args, "out", None))
+    _write_or_print(flow_to_csv(flow), args.out)
     return 0
 
 

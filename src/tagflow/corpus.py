@@ -192,6 +192,15 @@ class TagVocabulary:
     def index(self, tag):
         return self._index[tag]
 
+    def counts(self, records):
+        """How many records carry each tag, in vocabulary order; other tags are skipped."""
+        counts = [0] * len(self.tags)
+        for record in records:
+            for tag in set(record.tags):
+                if tag in self._index:
+                    counts[self._index[tag]] += 1
+        return counts
+
 
 def make_target(tags, tag_vocab):
     """Uniform distribution over the record's known tags."""

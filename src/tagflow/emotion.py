@@ -27,48 +27,42 @@ class EmotionLexicon:
     """Word to 10-bit association vector (see ``EMOTIONS`` for the order)."""
 
     def __init__(self, associations=None):
-        self._vectors = {}
-        self._index = self._table = None  # word -> row of the stacked vectors, built by ``rows``
-        if associations:
-            for word, vec in associations.items():
-                vec = np.asarray(vec, dtype=np.uint8)
-                if vec.shape != (len(EMOTIONS),):
-                    raise DataError(f"lexicon vector for '{word}' has shape {vec.shape}")
-                self._vectors[word.lower()] = vec
+        vectors = {}
+        for word, vec in (associations or {}).items():
+            vec = np.asarray(vec, dtype=np.uint8)
+            if vec.shape != (len(EMOTIONS),):
+                raise DataError(f"lexicon vector for '{word}' has shape {vec.shape}")
+            vectors[word.lower()] = vec
+        self._fill(list(vectors), np.array(list(vectors.values()), dtype=np.uint8))
+
+    def _fill(self, words, bits):
+        """Row i of the read-only table holds ``words[i - 1]``'s bits; row 0
+        is the zeros that every absent word reads."""
+        self._index = {word: i for i, word in enumerate(words, start=1)}
+        self._table = np.zeros((len(words) + 1, len(EMOTIONS)), dtype=np.uint8)
+        self._table[1:] = bits.reshape(-1, len(EMOTIONS))
+        self._table.flags.writeable = False
 
     def __len__(self):
-        return len(self._vectors)
+        return len(self._index)
 
     def __contains__(self, word):
-        return word.lower() in self._vectors
+        return word.lower() in self._index
 
     def vector(self, word):
         """Association bits for a word; zeros when absent."""
-        vec = self._vectors.get(word.lower())
-        if vec is None:
-            return np.zeros(len(EMOTIONS), dtype=np.uint8)
-        return vec
+        return self._table[self._index.get(word.lower(), 0)]
 
     def rows(self, words):
         """(len(words), 10) association bits, one row per word; zeros when absent."""
-        if self._table is None:
-            self._index = {word: i for i, word in enumerate(self._vectors, start=1)}
-            self._table = np.zeros((len(self._vectors) + 1, len(EMOTIONS)), dtype=np.uint8)
-            self._table[1:] = np.array(list(self._vectors.values())).reshape(-1, len(EMOTIONS))
         get = self._index.get
         return self._table[[get(word.lower(), 0) for word in words]]
 
     @classmethod
     def _from_bits(cls, words, bits):
-        """The lexicon where ``words[i]`` has dimension d set iff bit d of
-        ``bits[i]`` is, with the stacked table ``rows`` reads built at once;
-        each word's vector is a row of it."""
-        lex = cls()
-        table = np.zeros((len(words) + 1, len(EMOTIONS)), dtype=np.uint8)
-        table[1:] = np.asarray(bits, dtype=np.int64).reshape(-1, 1) >> np.arange(len(EMOTIONS)) & 1
-        lex._vectors = dict(zip(words, table[1:]))
-        lex._index = {word: i for i, word in enumerate(words, start=1)}
-        lex._table = table
+        """The lexicon where ``words[i]`` has dimension d set iff bit d of ``bits[i]`` is."""
+        lex = cls.__new__(cls)
+        lex._fill(words, np.asarray(bits, dtype=np.int64).reshape(-1, 1) >> np.arange(len(EMOTIONS)) & 1)
         return lex
 
 

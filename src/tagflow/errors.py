@@ -1,10 +1,11 @@
-"""Exception types shared across the package, config type checks and a UTF-8 reader.
+"""Exception types shared across the package, config key and type checks and a UTF-8 reader.
 
 ``cli.main`` maps them onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.  It also maps ValueError to 1 and OSError to 2, and
 lets every other exception propagate as a traceback.
 """
 
+import csv
 from contextlib import contextmanager
 
 
@@ -18,6 +19,13 @@ class DataError(Exception):
 
 class NumericError(Exception):
     """Non-finite values or other numeric failures at runtime."""
+
+
+def check_keys(doc, cls, what):
+    """Raise ConfigError naming every key of ``doc`` that is not a field of the dataclass ``cls``."""
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def check_types(config, ints=(), numbers=(), int_tuples=()):
@@ -45,9 +53,12 @@ def check_types(config, ints=(), numbers=(), int_tuples=()):
 
 @contextmanager
 def open_text(path, newline=None, error=DataError):
-    """Open ``path`` to read as UTF-8; bytes that do not decode raise ``error`` naming it."""
+    """Open ``path`` to read as UTF-8; bytes that do not decode, or a line the
+    csv module rejects, raise ``error`` naming it."""
     with open(path, encoding="utf-8", newline=newline) as f:
         try:
             yield f
         except UnicodeDecodeError as e:
             raise error(f"{path}: not UTF-8 text: byte 0x{e.object[e.start]:02x}: {e.reason}") from None
+        except csv.Error as e:  # a field over csv.field_size_limit(), or a NUL before Python 3.11
+            raise error(f"{path}: malformed CSV: {e}") from None

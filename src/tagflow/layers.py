@@ -395,17 +395,11 @@ def compute_class_weights(train_records, tag_vocab):
     Raises DataError naming the first tag that never occurs, since a zero
     count has no finite weight.
     """
-    counts = [0] * len(tag_vocab)
-    n = 0
-    for record in train_records:
-        n += 1
-        for tag in set(record.tags):
-            if tag in tag_vocab:
-                counts[tag_vocab.index(tag)] += 1
+    counts = tag_vocab.counts(train_records)
     for tag, m in zip(tag_vocab.tags, counts):
         if m == 0:
             raise DataError(f"tag '{tag}' never occurs in the training records; its weight is undefined")
-    return ClassWeights(n_examples=n, tag_counts=tuple(counts))
+    return ClassWeights(n_examples=len(train_records), tag_counts=tuple(counts))
 
 
 def weighted_kl_loss(true_dist, pred_dist, class_weights):

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,19 +82,8 @@ class MetricsReport:
     tags: list
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "tags_learned": self.tags_learned,
-            "micro_f1": self.micro_f1,
-            "tag_recall": self.tag_recall,
-            "per_tag_recall": list(self.per_tag_recall),
-            "tags": list(self.tags),
-            "metadata": self.metadata,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text):
@@ -127,11 +115,7 @@ def most_frequent_tags(train_records, tag_vocab, k):
     """The k most frequent training tags; frequency ties break lexicographically."""
     if not 1 <= k <= len(tag_vocab):
         raise ValueError(f"k must be in [1, {len(tag_vocab)}], got {k}")
-    counts = Counter()
-    for record in train_records:
-        for tag in set(record.tags):
-            if tag in tag_vocab:
-                counts[tag] += 1
+    counts = dict(zip(tag_vocab.tags, tag_vocab.counts(train_records)))
     ranked = sorted(tag_vocab.tags, key=lambda t: (-counts[t], t))
     return ranked[:k]
 

@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tensor, concat, dropout, reshape, softmax_last_axis
 from .corpus import OOV_INDEX, PAD_INDEX, SEQUENCE_LENGTH
 from .emotion import DEFAULT_SEGMENTS, EMOTIONS
-from .errors import ConfigError, DataError, check_types, open_text
+from .errors import ConfigError, DataError, check_keys, check_types, open_text
 from .layers import (
     Attention,
     ConvBank,
@@ -109,17 +109,11 @@ class ModelConfig:
         return self.variant in CLASS_WEIGHTED_VARIANTS
 
     def to_dict(self):
-        d = asdict(self)
-        d["filter_sizes"] = list(self.filter_sizes)
-        d["dense_sizes"] = list(self.dense_sizes)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        check_keys(d, cls, "model config")
         return cls(**d)
 
 
@@ -269,36 +263,24 @@ def load_pretrained_embeddings(path, vocab, embedding):
     dim = embedding.dim
     replaced = set()
     with open_text(path) as f:
-        lines = iter(enumerate(f, start=1))
-        first = next(lines, None)
-        if first is not None:
-            lineno, line = first
+        for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split(" ")
-            if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+            if lineno == 1 and len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
                 if int(parts[1]) != dim:
                     raise DataError(f"{path}: header declares dimension {parts[1]}, expected {dim}")
-            else:
-                _apply_vector_line(path, lineno, line, vocab, embedding, replaced)
-        for lineno, line in lines:
-            if line.strip():
-                _apply_vector_line(path, lineno, line, vocab, embedding, replaced)
+                continue
+            if lineno > 1 and not line.strip():
+                continue
+            word, values = parts[0], parts[1:]
+            if len(values) != dim:
+                raise DataError(f"{path}: line {lineno}: {len(values)} vector components, expected {dim}")
+            idx = vocab.index(word)
+            if idx in (PAD_INDEX, OOV_INDEX):
+                continue
+            try:
+                embedding.table.data[idx] = [float(v) for v in values]
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: non-numeric vector component") from None
+            replaced.add(idx)
     embedding.reset_padding_row()
     return len(replaced) / vocab.size if vocab.size else 0.0
-
-
-def _apply_vector_line(path, lineno, line, vocab, embedding, replaced):
-    parts = line.rstrip("\n").split(" ")
-    word, values = parts[0], parts[1:]
-    if len(values) != embedding.dim:
-        raise DataError(
-            f"{path}: line {lineno}: {len(values)} vector components, expected {embedding.dim}"
-        )
-    idx = vocab.index(word)
-    if idx in (PAD_INDEX, OOV_INDEX):
-        return
-    try:
-        vec = np.asarray([float(v) for v in values], dtype=embedding.table.dtype)
-    except ValueError:
-        raise DataError(f"{path}: line {lineno}: non-numeric vector component") from None
-    embedding.table.data[idx] = vec
-    replaced.add(idx)

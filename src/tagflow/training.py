@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import Tape, backward, kl_divergence
-from .errors import ConfigError, NumericError, check_types
+from .errors import ConfigError, NumericError, check_keys, check_types
 from .layers import compute_class_weights
 from .optim import RmsProp
 
@@ -56,10 +56,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+        check_keys(d, cls, "train config")
         return cls(**d)
 
 

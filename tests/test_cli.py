@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from helpers import GOLDEN_SYNOPSIS, write_corpus_csv
 from tagflow.cli import main
 from tagflow.metrics import MetricsReport
+from tagflow.model import MAX_INPUT_ROWS
 
 TINY_DIMS = [
     "--set", "model.seq_len=12",
@@ -204,6 +207,27 @@ class TestTrain:
                        "--variant", "cnn", "--set", "model.hidden_size=9", *TINY_DIMS])
         assert status == 1
         assert "hidden_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment", ["modle.seq_len=9", "trian.lr=5", "seq_len=9"])
+    @pytest.mark.parametrize("via", ["file", "set"])
+    def test_unknown_top_level_config_key_exits_1_naming_it(self, assignment, via, toy_corpus_path,
+                                                            tmp_path, capsys):
+        key, _, raw = assignment.partition("=")
+        if via == "file":
+            doc = json.loads(raw)
+            for part in reversed(key.split(".")):
+                doc = {part: doc}
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            source = ["--config", str(config)]
+        else:
+            source = ["--set", assignment]
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
+                       "--variant", "cnn", *TINY_DIMS, *source])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert f"'{key.split('.')[0]}'" in err
+        assert not (tmp_path / "m").exists()
 
 
 class TestPredict:
@@ -412,6 +436,16 @@ class TestEmotionFlowCommand:
         assert status == 0
         assert len(capsys.readouterr().out.splitlines()) == 6
 
+    @pytest.mark.parametrize("n_segments", [0, -3, MAX_INPUT_ROWS + 1])
+    def test_segment_count_out_of_range_exits_1_naming_the_flag(self, n_segments, synthetic_lexicon_path,
+                                                                capsys):
+        status = main(["emotion-flow", "--lexicon", str(synthetic_lexicon_path),
+                       "--text", "gleam dread mourn", "--n-segments", str(n_segments)])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert "--n-segments" in err and str(MAX_INPUT_ROWS) in err
+        assert "Traceback" not in err
+
     def test_requires_exactly_one_text(self, synthetic_lexicon_path, tmp_path, capsys):
         batch = tmp_path / "two.txt"
         batch.write_text("first text\nsecond text\n", encoding="utf-8")
@@ -462,3 +496,60 @@ def test_non_utf8_config_exits_1_naming_the_file(toy_corpus_path, tmp_path, caps
     assert status == 1
     assert f"{config}: not UTF-8 text: byte 0xe9: invalid continuation byte" in err
     assert "Traceback" not in err
+
+
+def _fuzzed(data, rng, fields=b"\t"):
+    """``(label, bytes)`` corruptions of one data file: truncations, XOR-flipped
+    bytes, each field of the first (header) line and one field of every other
+    line dropped, and inserted NUL and non-UTF-8 bytes."""
+    for cut in sorted({0, 1, len(data) // 2, len(data) - 1, *rng.integers(1, len(data), 8).tolist()}):
+        yield f"truncate@{cut}", data[:cut]
+    for at in rng.integers(0, len(data), 16).tolist():
+        flipped = bytearray(data)
+        flipped[at] ^= int(rng.integers(1, 256))
+        yield f"xor@{at}", bytes(flipped)
+    lines = data.split(b"\n")
+    for i, line in enumerate(lines):
+        parts = line.split(fields)
+        for j in range(len(parts)) if len(parts) > 1 else ():
+            if i == 0 or j == int(rng.integers(len(parts))):
+                yield f"drop line {i + 1} field {j}", b"\n".join(
+                    lines[:i] + [fields.join(parts[:j] + parts[j + 1:])] + lines[i + 1:])
+    for junk in (b"\x00", b"\xff", b"\xc3", b"\x80\x80"):
+        for at in rng.integers(0, len(data), 3).tolist():
+            yield f"insert {junk!r}@{at}", data[:at] + junk + data[at:]
+
+
+def test_fuzzed_data_files_exit_cleanly_and_name_the_file(workspace, synthetic_lexicon_path, tmp_path,
+                                                          capsys):
+    """No corruption of a corpus, lexicon, --input or prediction file escapes
+    ``main`` as an exception, and every failure names the file."""
+    good_preds = tmp_path / "good.tsv"
+    good_preds.write_text("x1\t1\tmurder\t0.5\nx1\t2\tviolence\t0.3\n"
+                          "x2\t1\tromantic\t0.6\nx2\t2\tmurder\t0.2\n"
+                          "x3\t1\tparanormal\t0.4\nx3\t2\tviolence\t0.4\n", encoding="utf-8")
+    sources = {
+        "corpus": (Path(workspace.corpus).read_bytes(), b",",
+                   lambda bad: ["baselines", "--corpus", bad, "--k", "1"]),
+        "lexicon": (synthetic_lexicon_path.read_bytes(), b"\t",
+                    lambda bad: ["emotion-flow", "--lexicon", bad, "--text", GOLDEN_SYNOPSIS]),
+        "input": (b"m1\ta grim detective hunts the killer\nm2\tghosts haunt the manor\nlove in summer\n",
+                  b"\t", lambda bad: ["predict", "--checkpoint", workspace.cnn_ckpt, "--k", "1", "--input", bad]),
+        "predictions": (good_preds.read_bytes(), b"\t",
+                        lambda bad: ["compare", bad, str(good_preds), "--corpus", workspace.corpus]),
+    }
+    rng = np.random.default_rng(5)
+    for role, (data, fields, argv) in sources.items():
+        bad = tmp_path / f"fuzzed.{role}"
+        codes = set()
+        for label, corrupted in _fuzzed(data, rng, fields):
+            bad.write_bytes(corrupted)
+            try:
+                code = main(argv(str(bad)))
+            except Exception as e:  # any escape is the failure under test
+                pytest.fail(f"{role} {label}: {e!r} escaped main")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (role, label, code, err)
+            assert code == 0 or str(bad) in err, (role, label, code, err)
+            codes.add(code)
+        assert 0 in codes and 2 in codes, (role, codes)

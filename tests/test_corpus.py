@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -87,6 +89,13 @@ class TestLoadCorpus:
         path = tmp_path / "columns.csv"
         path.write_text("movie_id,title\nm1,T\n", encoding="utf-8")
         with pytest.raises(DataError, match="plot_synopsis"):
+            load_corpus(path)
+
+    def test_field_over_the_csv_size_limit_is_a_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("movie_id,title,plot_synopsis,tags,split\n"
+                        'm1,T,"' + "word " * 30000 + "\n", encoding="utf-8")  # unterminated quote
+        with pytest.raises(DataError, match=r"long\.csv: malformed CSV: field larger than field limit"):
             load_corpus(path)
 
     def test_repeated_movie_id_names_both_rows(self, tmp_path):
@@ -227,6 +236,12 @@ class TestTagVocabulary:
         records = [make_record("a", "x", ["t1", "t2"]), make_record("b", "y", ["t2", "t3"])]
         tv = TagVocabulary.from_records(records)
         assert tv.tags == ["t1", "t2", "t3"]
+
+    def test_counts_each_record_once_per_tag_and_skips_unknown_tags(self):
+        tv = TagVocabulary(["t1", "t2", "t3"])
+        records = [SimpleNamespace(tags=["t2", "t2", "other"]), make_record("b", "y", ["t2", "t3"])]
+        assert tv.counts(records) == [0, 2, 1]
+        assert tv.counts([]) == [0, 0, 0]
 
 
 class TestValidationSplit:

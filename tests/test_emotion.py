@@ -50,6 +50,13 @@ class TestLexicon:
         assert "calm" in synthetic_lexicon
         npt.assert_array_equal(synthetic_lexicon.vector("calm"), np.zeros(10, dtype=np.uint8))
 
+    def test_vectors_are_read_only(self, synthetic_lexicon):
+        # an absent word reads the zero row every other absent word shares
+        for word in ("gleam", "table"):
+            with pytest.raises(ValueError, match="read-only"):
+                synthetic_lexicon.vector(word)[0] = 1
+        assert EmotionLexicon({"Gleam": [1] + [0] * 9}).vector("GLEAM").flags.writeable is False
+
     def test_lookup_is_case_insensitive(self, synthetic_lexicon):
         npt.assert_array_equal(synthetic_lexicon.vector("GLEAM"),
                                synthetic_lexicon.vector("gleam"))
