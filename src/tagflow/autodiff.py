@@ -289,12 +289,62 @@ def windows(x, c):
     return _make(window_matrix(x.data, c), (x,), bwd)
 
 
-def window_max_pool(xw, w, b):
+def distinct_rows(data):
+    """The distinct rows of a (T, E) array, and which one each row is.
+
+    Returns ``(rows, inverse)``: ``rows`` is (U, E) and ``rows[inverse[t]]``
+    has the bytes of ``data[t]``.  Rows compare as bytes, through a void
+    view, so a NaN row is kept as it is and 0.0 and -0.0 count as different
+    values.  ``rows`` comes out in byte order, so two arrays that hold the
+    same set of rows give the same ``rows``.
+    """
+    data = np.ascontiguousarray(data)
+    dim = data.shape[1]
+    keys = data.view(np.dtype((np.void, dim * data.itemsize))).ravel()
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return unique.view(data.dtype).reshape(-1, dim), inverse.ravel()
+
+
+def window_scores(distinct, w):
+    """``window_matrix(data, c) @ w`` for a (T, E) array, from its ``distinct_rows``.
+
+    ``w`` is (c * E, F) and the result (T - c + 1, F).  Each distinct row is
+    projected once by each of w's c row blocks, ``proj = rows @ w.reshape(c,
+    E, F)``, and window t sums ``proj[0, inverse[t]] + ... + proj[c - 1,
+    inverse[t + c - 1]]``.  That is U c E F multiply-adds for U distinct rows
+    plus c row gathers, where the window GEMM takes (T - c + 1) c E F, and
+    two windows with the same rows score bit-identically.
+    """
+    rows, inverse = distinct
+    dim = rows.shape[1]
+    width, n_filters = w.shape[0] // dim, w.shape[1]
+    n_windows = inverse.shape[0] - width + 1
+    proj = rows @ w.reshape(width, dim, n_filters)
+    scores = np.empty((n_windows, n_filters), dtype=proj.dtype)
+    # Summed in blocks of ~256 KiB of windows, so that a block stays in cache
+    # through its c gathers.  Every index is in range, so mode="clip" changes
+    # nothing but lets take write straight into its out buffer.
+    step = max(1, (1 << 18) // (n_filters * proj.itemsize))
+    gathered = np.empty((min(step, n_windows), n_filters), dtype=proj.dtype)
+    for t in range(0, n_windows, step):
+        block = scores[t:t + step]
+        part = gathered[:len(block)]
+        proj[0].take(inverse[t:t + len(block)], axis=0, out=block, mode="clip")
+        for j in range(1, width):
+            proj[j].take(inverse[t + j:t + j + len(block)], axis=0, out=part, mode="clip")
+            block += part
+    return scores
+
+
+def window_max_pool(xw, w, b, distinct):
     """One conv width, max-pooled over time: ``relu(max_t (xw @ w)[t] + b)``.
 
-    ``xw`` is an (n, K) window matrix, ``w`` (K, F) and ``b`` (1, F); the
-    result is (F,).  Bias and relu go on after the max, once per filter: both
-    are monotone, and so is float rounding, so
+    ``xw`` is the (n, c * E) window matrix of a (T, E) sequence (see
+    ``windows``), ``distinct`` that sequence's ``distinct_rows``, ``w``
+    (c * E, F) and ``b`` (1, F); the result is (F,).  The scores ``xw @ w``
+    come from the distinct rows (see ``window_scores``), so equal windows
+    score the same bits.  Bias and relu go on after the max, once per
+    filter: both are monotone, and so is float rounding, so
     ``max_t relu(a_t + b) == relu(max_t a_t + b)`` exactly.  A NaN score
     makes its filter's output NaN.
 
@@ -304,12 +354,14 @@ def window_max_pool(xw, w, b):
     where the output is 0 or NaN.  That is O(F K) work, not the O(n K F)
     of a dense backward.
     """
+    rows, inverse = distinct
     n_filters = w.data.shape[-1]
-    if xw.data.ndim != 2 or w.data.shape != (xw.data.shape[1], n_filters) or b.data.shape != (1, n_filters):
-        raise ValueError(f"window_max_pool shape mismatch: {xw.data.shape} x {w.data.shape} + {b.data.shape}")
-    # matmul multiplies a contiguous copy of the overlapping view faster
-    # than the view itself, at every shape measured
-    scores = np.ascontiguousarray(xw.data) @ w.data
+    if (xw.data.ndim != 2 or w.data.shape != (xw.data.shape[1], n_filters) or b.data.shape != (1, n_filters)
+            or rows.ndim != 2 or xw.data.shape[1] % rows.shape[1]
+            or inverse.shape[0] - xw.data.shape[1] // rows.shape[1] + 1 != xw.data.shape[0]):
+        raise ValueError(f"window_max_pool shape mismatch: {xw.data.shape} x {w.data.shape} + {b.data.shape}, "
+                         f"{rows.shape[-1]}-wide rows of a {inverse.shape[0]}-row sequence")
+    scores = window_scores(distinct, w.data)
     best = scores.max(axis=0)
     # Each filter's first maximising window, read off the row-major hits (a
     # column argmax on a C-order array copies it first).  A NaN column has no

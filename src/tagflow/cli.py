@@ -441,7 +441,7 @@ def cmd_emotion_flow(args):
     lexicon = _read_lexicon(args.lexicon)
     pairs = _read_input_texts(args)
     if len(pairs) != 1:
-        raise ConfigError("emotion-flow takes exactly one text")
+        raise ConfigError(f"{args.input}: emotion-flow takes exactly one text, found {len(pairs)}")
     with _stage("emotion"):
         flow = emotion_flow(pairs[0][1], lexicon, args.n_segments)
     _write_or_print(flow_to_csv(flow), args.out)

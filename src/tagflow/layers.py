@@ -26,6 +26,7 @@ from .autodiff import (
     _make,
     concat,
     constant,
+    distinct_rows,
     embedding_gather,
     kl_divergence,
     recording,
@@ -127,15 +128,21 @@ def conv_bank_forward(embedded, bank):
     ``embedded`` is a (T, embed_dim) tensor; the result is a 1-D tensor of
     width ``len(filter_sizes) * n_filters``, filter widths in declared order.
 
-    Each width c convolves as one GEMM of the (T - c + 1, c * embed_dim)
-    window matrix with the (c * embed_dim, n_filters) weights: two nodes per
-    width, ``windows`` and ``window_max_pool``, whose backward reaches only
-    each filter's winning window.
+    Each width c is two nodes, ``windows`` and ``window_max_pool``, whose
+    backward reaches only each filter's winning window.  The scores come from
+    the input's distinct rows (``distinct_rows``, found once per call): each
+    of them is projected by each of the c row blocks of the
+    (c * embed_dim, n_filters) weights, and window t sums c of those
+    projections.  Per width that is U * c * embed_dim * n_filters
+    multiply-adds for U distinct rows plus c row gathers, where a GEMM of the
+    (T - c + 1, c * embed_dim) window matrix would take
+    (T - c + 1) * c * embed_dim * n_filters.
 
     Sequences are left-padded with the all-zero padding row.  When no tape
     records, the rows before the last ``max(filter_sizes)`` leading zero rows
     are dropped: each window they start is all zeros, and so is one window
-    every width keeps, which scores the same, so no max changes.
+    every width keeps, which scores the same, so no max changes.  The kept
+    rows hold the same set of distinct rows, so both calls give the same bits.
     """
     seq_len, embed_dim = embedded.data.shape
     largest = max(bank.filter_sizes)
@@ -151,7 +158,8 @@ def conv_bank_forward(embedded, bank):
         nonzero = np.flatnonzero(embedded.data.any(axis=1))
         lead = int(nonzero[0]) if nonzero.size else seq_len
         x = constant(embedded.data[max(lead - largest, 0):], dtype=embedded.dtype)
-    pooled = [window_max_pool(windows(x, c), bank.weights[c], bank.biases[c])
+    distinct = distinct_rows(x.data)
+    pooled = [window_max_pool(windows(x, c), bank.weights[c], bank.biases[c], distinct)
               for c in bank.filter_sizes]
     return concat(pooled, axis=-1)
 

@@ -453,6 +453,15 @@ class TestEmotionFlowCommand:
                        "--input", str(batch)])
         assert status == 1
 
+    def test_several_texts_exit_1_naming_the_file_and_the_count(self, synthetic_lexicon_path, tmp_path, capsys):
+        batch = tmp_path / "three.tsv"
+        batch.write_text("m1\tfirst text\n\nm2\tsecond text\nthird text\n", encoding="utf-8")
+        status = main(["emotion-flow", "--lexicon", str(synthetic_lexicon_path), "--input", str(batch)])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert f"error: {batch}: emotion-flow takes exactly one text, found 3" in err
+        assert "Traceback" not in err
+
     def test_requires_lexicon(self, capsys):
         assert main(["emotion-flow", "--text", "x"]) == 1
         assert "--lexicon" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -201,10 +202,8 @@ class TestConvBank:
         assert len(tape) > 0
         free = conv_bank_forward(constant(x, dtype=dtype), bank)
         assert free.tape is None and free.dtype == dtype
-        if dtype == np.float64:
-            npt.assert_allclose(free.data, taped.data, rtol=0, atol=1e-12)
-        else:
-            npt.assert_allclose(free.data, taped.data, rtol=1e-6, atol=0)
+        # the trimmed rows hold the same distinct rows, so the bits agree
+        npt.assert_array_equal(free.data, taped.data)
         if sign < 0:
             relu_b = np.maximum(np.concatenate([bank.biases[c].data[0] for c in bank.filter_sizes]), 0)
             if n_real < 12:
@@ -221,9 +220,9 @@ class TestConvBank:
         x[20 - n_real:] = rng.standard_normal((n_real, 3))
         window_rows = []
 
-        def spy(xw, w, b):
+        def spy(xw, w, b, distinct):
             window_rows.append(xw.data.shape[0])
-            return window_max_pool(xw, w, b)
+            return window_max_pool(xw, w, b, distinct)
 
         monkeypatch.setattr(layers, "window_max_pool", spy)
         conv_bank_forward(constant(x), bank)
@@ -233,6 +232,35 @@ class TestConvBank:
         with Tape():
             conv_bank_forward(constant(x), bank)
         assert window_rows == [20 - c + 1 for c in bank.filter_sizes]
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_nan_embedding_row_makes_every_filter_nan(self, taped):
+        rng = np.random.default_rng(11)
+        bank = ConvBank((2, 3), 4, 5, rng)
+        x = np.zeros((12, 5), dtype=np.float32)
+        x[4:] = rng.standard_normal((8, 5))
+        x[8, 2] = np.nan
+        # every filter scores every window, and the windows over row 8 score NaN
+        with Tape() if taped else contextlib.nullcontext():
+            out = conv_bank_forward(Tensor(x, requires_grad=taped), bank)
+        assert (out.tape is not None) == taped
+        assert np.isnan(out.data).all()
+
+    def test_negative_zero_rows_give_the_same_outputs(self):
+        rng = np.random.default_rng(12)
+        bank = ConvBank((2, 3, 5), 6, 4, rng)
+        x = np.zeros((16, 4), dtype=np.float32)
+        x[6:] = rng.standard_normal((10, 4))
+        x[9, 1] = x[12, :2] = 0.0
+        signed = x.copy()
+        signed[:6:2] = -0.0  # padding rows of both signs, distinct as bytes
+        signed[9, 1] = signed[12, 0] = -0.0
+        assert signed.tobytes() != x.tobytes()
+        expected = conv_bank_forward(constant(x), bank).data
+        npt.assert_array_equal(conv_bank_forward(constant(signed), bank).data, expected)
+        with Tape():
+            taped = conv_bank_forward(Tensor(signed, requires_grad=True), bank)
+        npt.assert_array_equal(taped.data, expected)
 
     def test_tape_free_path_records_nothing_under_an_active_tape(self):
         rng = np.random.default_rng(8)
