@@ -18,20 +18,20 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
     Split,
     TagVocabulary,
+    _encode_text,
     build_vocabulary,
     encode_records,
-    encode_synopsis,
     load_corpus,
     load_stopwords,
-    preprocess,
     validation_split,
 )
+# Not called here (_encode_text tokenizes once for both views), but kept
+# bound: perfbench's tracer patches these names in this module too.
+from .corpus import encode_synopsis, preprocess  # noqa: F401
 from .emotion import DEFAULT_SEGMENTS, emotion_flow, flow_to_csv, load_lexicon
 from .errors import ConfigError, DataError, NumericError, check_keys, open_text
 from .metrics import (
@@ -213,11 +213,8 @@ def _load_prediction_file(path):
 
 def _model_inputs(model, text, stopwords, lexicon):
     """Encode one raw synopsis with the model's own vocabularies."""
-    tokens = encode_synopsis(preprocess(text, stopwords), model.vocab, model.config.seq_len)
-    flow = None
-    if model.config.uses_flow:
-        flow = emotion_flow(text, lexicon, model.config.n_segments).astype(np.float32)
-    return tokens, flow
+    return _encode_text(text, model.vocab, stopwords, lexicon if model.config.uses_flow else None,
+                        model.config.seq_len, model.config.n_segments)
 
 
 def _require(value, flag, why):

@@ -14,6 +14,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 
@@ -60,6 +61,9 @@ def tokenize(text):
     """Lowercase, split on whitespace, strip non-alphanumeric edges, drop empties."""
     out = []
     for piece in text.lower().split():
+        if piece.isalnum():  # nothing to strip: most pieces
+            out.append(piece)
+            continue
         start, end = 0, len(piece)
         while start < end and not piece[start].isalnum():
             start += 1
@@ -72,7 +76,11 @@ def tokenize(text):
 
 def preprocess(text, stopwords):
     """Tokenize and drop stopwords, preserving order."""
-    return [t for t in tokenize(text) if t not in stopwords]
+    return _drop_stopwords(tokenize(text), stopwords)
+
+
+def _drop_stopwords(tokens, stopwords):
+    return [t for t in tokens if t not in stopwords]
 
 
 def load_corpus(path):
@@ -222,7 +230,8 @@ def encode_synopsis(tokens, vocab, max_len=SEQUENCE_LENGTH):
     kept = tokens[-max_len:] if len(tokens) > max_len else tokens
     seq = np.zeros(max_len, dtype=np.int64)
     if kept:
-        seq[max_len - len(kept):] = [vocab.index(t) for t in kept]
+        seq[max_len - len(kept):] = np.fromiter(map(vocab._index.get, kept, repeat(OOV_INDEX)),
+                                                dtype=np.int64, count=len(kept))
     return seq
 
 
@@ -251,20 +260,31 @@ class EncodedExample:
     tags: frozenset = field(default_factory=frozenset)
 
 
+def _encode_text(text, vocab, stopwords, lexicon, max_len, n_segments):
+    """``(index sequence, float32 emotion flow or None)`` of one raw text, tokenized once.
+
+    The same as ``encode_synopsis(preprocess(text, stopwords), vocab,
+    max_len)`` and ``emotion_flow(text, lexicon, n_segments)``, bit for bit;
+    the flow is None when ``lexicon`` is.
+    """
+    tokens = tokenize(text)
+    seq = encode_synopsis(_drop_stopwords(tokens, stopwords), vocab, max_len)
+    if lexicon is None:
+        return seq, None
+    from .emotion import _token_flow
+
+    return seq, _token_flow(tokens, lexicon, n_segments).astype(np.float32)
+
+
 def encode_records(records, vocab, tag_vocab, stopwords, lexicon=None,
                    max_len=SEQUENCE_LENGTH, n_segments=20):
     """Encode records into examples; emotion flow only when a lexicon is given."""
-    from .emotion import emotion_flow
-
     examples = []
     for r in records:
-        tokens = preprocess(r.synopsis, stopwords)
-        flow = None
-        if lexicon is not None:
-            flow = emotion_flow(r.synopsis, lexicon, n_segments).astype(np.float32)
+        tokens, flow = _encode_text(r.synopsis, vocab, stopwords, lexicon, max_len, n_segments)
         examples.append(EncodedExample(
             movie_id=r.movie_id,
-            tokens=encode_synopsis(tokens, vocab, max_len),
+            tokens=tokens,
             target=make_target(r.tags, tag_vocab),
             flow=flow,
             tags=r.tags,

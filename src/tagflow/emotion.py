@@ -9,6 +9,8 @@ counts once per associated dimension.  All operations are pure.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .corpus import tokenize
@@ -55,8 +57,8 @@ class EmotionLexicon:
 
     def rows(self, words):
         """(len(words), 10) association bits, one row per word; zeros when absent."""
-        get = self._index.get
-        return self._table[[get(word.lower(), 0) for word in words]]
+        rows = np.fromiter(map(self._index.get, map(str.lower, words), repeat(0)), dtype=np.intp, count=len(words))
+        return self._table[rows]
 
     @classmethod
     def _from_bits(cls, words, bits):
@@ -130,8 +132,17 @@ def emotion_flow(text, lexicon, n_segments=DEFAULT_SEGMENTS):
     Row i equals ``emotion_vector(segment_words(tokens)[i])``, bit for bit:
     each segment's counts are exact differences of integer prefix sums.
     """
-    tokens = tokenize(text)
-    sizes = np.array([len(s) for s in segment_words(tokens, n_segments)])
+    return _token_flow(tokenize(text), lexicon, n_segments)
+
+
+def _token_flow(tokens, lexicon, n_segments):
+    """``emotion_flow`` of an already tokenized text."""
+    if n_segments < 1:
+        raise ValueError(f"segment count must be >= 1, got {n_segments}")
+    # segment_words' sizes, without its lists: r segments of q + 1 tokens, then q
+    q, r = divmod(len(tokens), n_segments)
+    sizes = np.full(n_segments, q, dtype=np.int64)
+    sizes[:r] += 1
     totals = np.zeros((len(tokens) + 1, len(EMOTIONS)), dtype=np.int64)
     np.cumsum(lexicon.rows(tokens), axis=0, dtype=np.int64, out=totals[1:])
     ends = np.cumsum(sizes)

@@ -1,4 +1,4 @@
-"""Shared builders for the test suite: corpora, lexicons, prediction and LSTM oracles."""
+"""Shared builders for the test suite: corpora, lexicons, and text, prediction and LSTM oracles."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 
 from tagflow.autodiff import add, concat, constant, mul, tanh
 from tagflow.corpus import Split, SynopsisRecord
+from tagflow.emotion import segment_words
 
 CORPUS_COLUMNS = ("movie_id", "title", "plot_synopsis", "tags", "split", "synopsis_source")
 
@@ -31,6 +32,36 @@ GOLDEN_SYNOPSIS = " ".join(
     + ["mourn", "table", "table", "table"] * 5
     + ["table"] * 20
 )
+
+
+def reference_tokenize(text):
+    """``tokenize`` as a plain loop that strips every piece's edges: the oracle for its fast path."""
+    out = []
+    for piece in text.lower().split():
+        start, end = 0, len(piece)
+        while start < end and not piece[start].isalnum():
+            start += 1
+        while end > start and not piece[end - 1].isalnum():
+            end -= 1
+        if end > start:
+            out.append(piece[start:end])
+    return out
+
+
+def reference_encoding(text, vocab, stopwords, lexicon, max_len, n_segments):
+    """One text's (index sequence, float32 flow), a word at a time from ``reference_tokenize``."""
+    tokens = reference_tokenize(text)
+    content = [t for t in tokens if t not in stopwords][-max_len:]
+    seq = np.zeros(max_len, dtype=np.int64)
+    for i, word in enumerate(content, start=max_len - len(content)):
+        seq[i] = vocab.index(word)
+    flow = np.zeros((n_segments, 10))
+    for row, segment in zip(flow, segment_words(tokens, n_segments)):
+        for word in segment:
+            row += lexicon.vector(word)
+        if segment:
+            row[:] = 100.0 * row / len(segment)
+    return seq, flow.astype(np.float32)
 
 
 def write_lexicon(path, text=SYNTHETIC_LEXICON):

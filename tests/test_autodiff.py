@@ -1,7 +1,7 @@
 """Engine tests: primitive behavior, gradient oracles, loss contracts.
 
-Every gradient is checked against central finite differences in 64-bit
-mode.  Inputs for kinked primitives (relu, the window max-pool) are
+Every gradient is checked against (Richardson-extrapolated) central
+finite differences in 64-bit mode.  Inputs for kinked primitives (relu, the window max-pool) are
 constructed away from their kinks so the numeric oracle is valid.
 """
 
@@ -353,6 +353,22 @@ class TestWindowScores:
         assert rows[inverse].tobytes() == x.tobytes()
         # the same set of rows in another order gives the same rows
         npt.assert_array_equal(distinct_rows(x[::-1])[0], rows)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_distinct_rows_are_the_bytes_np_unique_gives(self, dtype):
+        """The sort-and-compare in ``distinct_rows`` against ``np.unique`` on void
+        keys: the same (rows, inverse) bytes, NaN rows and 0.0 / -0.0 kept apart."""
+        rng = np.random.default_rng(33)
+        values = np.array([0.0, -0.0, np.nan, 1.0, -1.0, np.inf, 2.5], dtype=dtype)
+        for _ in range(200):
+            n_rows, dim, vocab = int(rng.integers(0, 60)), int(rng.integers(1, 7)), int(rng.integers(1, 10))
+            x = values[rng.integers(0, len(values), size=(vocab, dim))][rng.integers(0, vocab, size=n_rows)]
+            keys = x.view(np.dtype((np.void, dim * x.itemsize))).ravel()
+            unique, inverse = np.unique(keys, return_inverse=True)
+            rows, got_inverse = distinct_rows(x)
+            assert rows.dtype == dtype and rows.shape == (len(unique), dim)
+            assert rows.tobytes() == unique.tobytes()
+            assert got_inverse.dtype == inverse.dtype and got_inverse.tobytes() == inverse.ravel().tobytes()
 
 
 class TestDropout:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import make_record, write_corpus_csv
+from helpers import make_record, reference_encoding, reference_tokenize, write_corpus_csv
+from tagflow import cli
 from tagflow.corpus import (
     OOV_INDEX,
     PAD_INDEX,
@@ -25,7 +28,23 @@ from tagflow.corpus import (
     tokenize,
     validation_split,
 )
+from tagflow.emotion import emotion_flow, load_lexicon
 from tagflow.errors import DataError
+from tagflow.model import ModelConfig
+
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from perfbench import datagen  # noqa: E402
+
+#: Characters where a piece's edges decide its token: ASCII letters, digits,
+#: punctuation and whitespace; "_" (not alphanumeric); NEL, NBSP, LINE
+#: SEPARATOR, ideographic space and a file separator (whitespace to split);
+#: a zero-width space (neither); "İ" (lowercases to "i" plus U+0307, a
+#: combining dot that is not alphanumeric); capital and final sigma (which
+#: lowercases by context); "²" and "½" (numeric, not decimal); Arabic-Indic
+#: digits; "ß".
+FUZZ_ALPHABET = ("a", "Q", "7", " ", "\t", "\n", ".", ",", "'", "-", "!", "_",
+                 "\x85", "\xa0", "\u2028", "\u3000", "\x1c", "\u200b", "\u0130", "\u0307",
+                 "\u03a3", "\u03c2", "\xb2", "\xbd", "\u0660", "\u0669", "\xdf")
 
 
 class TestLoadCorpus:
@@ -128,6 +147,14 @@ class TestTokenizeAndPreprocess:
 
     def test_tokens_of_pure_punctuation_dropped(self):
         assert tokenize("wait ... what ???") == ["wait", "what"]
+
+    def test_matches_the_edge_stripping_loop_on_fuzzed_text(self):
+        rng = np.random.default_rng(20)
+        lengths = rng.integers(0, 16, size=20_000)
+        chars = iter(rng.integers(0, len(FUZZ_ALPHABET), size=int(lengths.sum())).tolist())
+        for n in lengths.tolist():
+            text = "".join(FUZZ_ALPHABET[next(chars)] for _ in range(n))
+            assert tokenize(text) == reference_tokenize(text), repr(text)
 
 
 class TestVocabulary:
@@ -299,6 +326,46 @@ class TestEncodeRecords:
         for example in examples:
             assert example.flow.shape == (6, 10)
             assert example.flow.dtype == np.float32
+
+    def test_one_tokenization_gives_the_bits_of_the_two_pass_composition(self, stopwords, tmp_path):
+        """``encode_records`` and predict's ``cli._model_inputs`` tokenize each
+        text once; both must equal ``encode_synopsis(preprocess(text))`` and
+        ``emotion_flow(text)``, and the word-at-a-time oracle, bit for bit."""
+        spec = datagen.CorpusSpec(
+            n_train=40, n_test=8, n_predict=12, train_words=datagen.Lengths("uniform", 20, 400),
+            test_words=datagen.Lengths("uniform", 20, 400), predict_words=datagen.Lengths("loguniform", 1, 600))
+        paths = datagen.generate(spec, 3, tmp_path, exclude=stopwords)
+        records = load_corpus(paths["corpus"])
+        train = [r for r in records if r.split is Split.TRAIN]
+        vocab = build_vocabulary(train, max_words=300, stopwords=stopwords)  # small, so some words are OOV
+        lexicon = load_lexicon(paths["lexicon"])
+        max_len, n_segments = 200, 20
+
+        def two_pass(text):
+            return (encode_synopsis(preprocess(text, stopwords), vocab, max_len),
+                    emotion_flow(text, lexicon, n_segments).astype(np.float32))
+
+        def assert_same_bits(got, text):
+            for want in (two_pass(text), reference_encoding(text, vocab, stopwords, lexicon, max_len, n_segments)):
+                assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+                assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+        examples = encode_records(records, vocab, TagVocabulary.from_records(train), stopwords,
+                                  lexicon=lexicon, max_len=max_len, n_segments=n_segments)
+        for record, example in zip(records, examples, strict=True):
+            assert_same_bits((example.tokens, example.flow), record.synopsis)
+        assert any((e.tokens == OOV_INDEX).any() for e in examples)
+        assert any(e.tokens[0] == PAD_INDEX for e in examples)
+
+        texts = [text for _, text in datagen.read_synopses(paths["synopses"])] + ['"Stop!" -- İt\'s ΟΔΟΣ.']
+        with_flow, without_flow = (
+            SimpleNamespace(vocab=vocab, config=ModelConfig(
+                variant=variant, vocab_size=vocab.size, seq_len=max_len, n_segments=n_segments))
+            for variant in ("cnn_fe", "cnn"))
+        for text in texts:
+            assert_same_bits(cli._model_inputs(with_flow, text, stopwords, lexicon), text)
+            tokens, flow = cli._model_inputs(without_flow, text, stopwords, lexicon)
+            assert flow is None and tokens.tobytes() == two_pass(text)[0].tobytes()
 
 
 def test_load_stopwords_packaged_default(stopwords):

@@ -461,6 +461,21 @@ class TestFusedBilstm:
         h = 1e-3 / max(1.0, np.abs(flow).max())
         gradcheck(loss, _lstm_params(fwd, bwd), np.random.default_rng(12), samples=3, h=h)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradcheck_at_the_flow_scale(self, seed):
+        # Percentages up to 100, as real flows are, with a step h = 1e-3 for
+        # every coordinate: a plain central difference's h**2 error fails
+        # this check; the Richardson-extrapolated one passes.
+        rng = np.random.default_rng(seed)
+        fwd, bwd = LstmCell(10, 4, rng, np.float64), LstmCell(10, 4, rng, np.float64)
+        flow = rng.uniform(0, 1, (6, 10)) * 100
+
+        def loss():
+            states, _ = bilstm_forward(flow, fwd, bwd)
+            return sum_(mul(states, states))
+
+        gradcheck(loss, _lstm_params(fwd, bwd), np.random.default_rng(seed))
+
     def test_gradcheck_weights_every_row_of_states_and_final(self):
         fwd, bwd = _cells(13, hidden=3, dtype=np.float64)
         rng = np.random.default_rng(14)
