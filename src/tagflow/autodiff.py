@@ -166,6 +166,10 @@ def _unbroadcast(g, shape):
 # primitives
 # ---------------------------------------------------------------------------
 
+#: Rows of ``b``'s gradient per block of a one-row ``matmul``'s backward.
+OUTER_ROWS = 256
+
+
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
@@ -175,7 +179,14 @@ def matmul(a, b):
         if a.requires_grad:
             _grad_buffer(a)[...] += g @ b.data.T
         if b.requires_grad:
-            _grad_buffer(b)[...] += a.data.T @ g
+            buf = _grad_buffer(b)
+            if a.data.shape[0] == 1:
+                # a.T @ g is an outer product of one-term sums: add it a block
+                # of rows at a time, with the same bits and no full-size temporary
+                for lo in range(0, len(buf), OUTER_ROWS):
+                    buf[lo:lo + OUTER_ROWS] += a.data[0, lo:lo + OUTER_ROWS, None] * g
+            else:
+                buf += a.data.T @ g
 
     return _make(out_data, (a, b), bwd)
 

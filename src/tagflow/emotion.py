@@ -57,7 +57,11 @@ class EmotionLexicon:
 
     def rows(self, words):
         """(len(words), 10) association bits, one row per word; zeros when absent."""
-        rows = np.fromiter(map(self._index.get, map(str.lower, words), repeat(0)), dtype=np.intp, count=len(words))
+        return self._lowercase_rows([word.lower() for word in words])
+
+    def _lowercase_rows(self, words):
+        """``rows`` of words that are already lowercase."""
+        rows = np.fromiter(map(self._index.get, words, repeat(0)), dtype=np.intp, count=len(words))
         return self._table[rows]
 
     @classmethod
@@ -136,7 +140,11 @@ def emotion_flow(text, lexicon, n_segments=DEFAULT_SEGMENTS):
 
 
 def _token_flow(tokens, lexicon, n_segments):
-    """``emotion_flow`` of an already tokenized text."""
+    """``emotion_flow`` of an already tokenized text.
+
+    ``tokenize`` lowercases the whole text, so the tokens are looked up as
+    they are: lowering a lowercase string again changes no code point.
+    """
     if n_segments < 1:
         raise ValueError(f"segment count must be >= 1, got {n_segments}")
     # segment_words' sizes, without its lists: r segments of q + 1 tokens, then q
@@ -144,7 +152,7 @@ def _token_flow(tokens, lexicon, n_segments):
     sizes = np.full(n_segments, q, dtype=np.int64)
     sizes[:r] += 1
     totals = np.zeros((len(tokens) + 1, len(EMOTIONS)), dtype=np.int64)
-    np.cumsum(lexicon.rows(tokens), axis=0, dtype=np.int64, out=totals[1:])
+    np.cumsum(lexicon._lowercase_rows(tokens), axis=0, dtype=np.int64, out=totals[1:])
     ends = np.cumsum(sizes)
     counts = totals[ends] - totals[ends - sizes]
     return 100.0 * counts / np.maximum(sizes, 1)[:, None]

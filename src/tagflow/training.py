@@ -113,8 +113,14 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
     Each epoch shuffles the training set, steps RMSprop once per batch on
     the mean KL, then measures validation loss.  Training stops after
     `patience + 1` consecutive epochs without a strict validation
-    improvement, or at `max_epochs`.  The parameters snapshotted at the
-    best epoch are restored before returning.
+    improvement, or at `max_epochs`.  The best epoch's parameters are
+    returned.  They are copied only at the start of the epoch after an
+    improvement, just before training overwrites them, so a run holds at
+    most one copy, and none when its last epoch is the best.  Each batch's
+    gradients are freed once the optimizer has applied them.
+
+    A non-finite validation loss raises ``NumericError``: it would compare
+    false against every loss, so no epoch could be kept.
 
     The KL is class-weighted exactly when the model's variant is.  The
     weights are ``class_weights`` when given, else tag counts over the
@@ -140,17 +146,20 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
     optimizer = RmsProp(params, lr=config.lr)
     history = TrainHistory()
     best_val = np.inf
-    best_state = {name: t.data.copy() for name, t in params.items()}
+    best_state = None
     stale_epochs = 0
+    optimizer.zero_grad()
 
     n = len(train_examples)
     for epoch in range(1, config.max_epochs + 1):
+        if epoch > 1 and stale_epochs == 0:
+            # the weights of the best epoch so far, about to be overwritten
+            best_state = {name: t.data.copy() for name, t in params.items()}
         started = time.perf_counter()
         order = np.random.default_rng([config.seed, epoch]).permutation(n)
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[start:start + config.batch_size]
-            optimizer.zero_grad()
             scale = 1.0 / len(batch)
             for example_idx in batch:
                 example = train_examples[int(example_idx)]
@@ -167,9 +176,12 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
                 optimizer.step()
             except NumericError as e:
                 raise NumericError(f"epoch {epoch}, batch {batch_no}: {e}") from None
+            optimizer.zero_grad()
             model.enforce_constraints()
 
         val_loss = evaluate_loss(model, val_examples, class_weights)
+        if not np.isfinite(val_loss):
+            raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.epochs.append(EpochStats(
             epoch=epoch,
             train_loss=epoch_loss / n,
@@ -179,15 +191,16 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_state = {name: t.data.copy() for name, t in params.items()}
+            best_state = None
             stale_epochs = 0
         else:
             stale_epochs += 1
             if stale_epochs > config.patience:
                 break
 
-    for name, tensor in params.items():
-        tensor.data = best_state[name]
+    if best_state is not None:
+        for name, tensor in params.items():
+            tensor.data = best_state[name]
     if log_path is not None:
         history.write_log(log_path)
     return model, history

@@ -125,6 +125,22 @@ class TestHandGradients:
         backward(loss)
         npt.assert_allclose(x.grad, [6.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4160, 500), (500, 200), (200, 71), (64, 32)])
+    def test_one_row_weight_gradient_adds_the_bytes_of_the_outer_product(self, shape, dtype):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(1, shape[0])), requires_grad=True, dtype=dtype)
+        w = Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+        g = rng.normal(size=(1, shape[1])).astype(dtype)
+        w._grad = rng.normal(size=shape).astype(dtype)
+        expected = w._grad.copy()
+        expected += x.data.T @ g
+        with Tape():
+            loss = sum_(mul(matmul(x, w), constant(g)))
+        backward(loss)
+        assert w._grad.dtype == dtype
+        assert w._grad.tobytes() == expected.tobytes()
+
     def test_unreachable_parameter_gets_zero_grad(self):
         x = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         unused = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)

@@ -161,6 +161,19 @@ class TestTrain:
         assert status == 0
         assert "model.lr" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_epochs", [1, 2])
+    def test_non_finite_validation_loss_exits_3_naming_the_epoch(self, max_epochs, toy_corpus_path,
+                                                                 tmp_path, capsys):
+        # one batch per epoch, and a step this large overflows the float32 weights
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"),
+                       "--variant", "cnn", *TINY_DIMS, "--set", "train.lr=1e38", "--set", "train.batch_size=32",
+                       "--set", f"train.max_epochs={max_epochs}", "--set", "train.patience=0"])
+        err = capsys.readouterr().err
+        assert status == 3
+        assert "non-finite validation loss at epoch 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("assignment,named", [
         ("model.dropout=x", "[model] dropout"),
         ('train.batch_size="8"', "[train] batch_size"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,13 @@ class TestEmotionFlow:
         npt.assert_array_equal(synthetic_lexicon.rows(words),
                                np.stack([synthetic_lexicon.vector(w) for w in words]))
         assert synthetic_lexicon.rows([]).shape == (0, 10)
+
+    def test_lowering_a_lowercased_code_point_changes_nothing(self):
+        # The flow looks tokenize's lowercased tokens up without lowering them
+        # again. A string holds no capital sigma once lowered, and lowering is
+        # per code point apart from that sigma, so this covers every token.
+        changed = [hex(cp) for cp in range(sys.maxunicode + 1) if chr(cp).lower().lower() != chr(cp).lower()]
+        assert changed == []
 
 
 class TestFlowCsv:

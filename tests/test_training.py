@@ -230,6 +230,15 @@ class TestFailureModes:
         with pytest.raises(NumericError, match=r"epoch 1, batch 1: .*dense_out\.weight"):
             train(model, examples, examples, quick_train_config())
 
+    def test_non_finite_validation_loss_names_the_epoch(self, monkeypatch):
+        losses = iter([0.5, float("nan")])
+        monkeypatch.setattr(training, "evaluate_loss", lambda model, examples, class_weights=None: next(losses))
+        config = tiny_config()
+        model = build_model(config)
+        examples = make_examples(config, 4)
+        with pytest.raises(NumericError, match="non-finite validation loss at epoch 2"):
+            train(model, examples, examples, quick_train_config())
+
     def test_empty_datasets_rejected(self):
         config = tiny_config()
         model = build_model(config)
@@ -238,6 +247,56 @@ class TestFailureModes:
             train(model, [], examples, quick_train_config())
         with pytest.raises(ValueError):
             train(model, examples, [], quick_train_config())
+
+
+class TestMemoryBehaviour:
+    """What a run leaves behind: the best epoch's weights, copied no more
+    than needed, and no gradients."""
+
+    @staticmethod
+    def scripted_run(monkeypatch, val_losses, patience):
+        """Train with ``evaluate_loss`` replaced by ``val_losses``, one per
+        epoch. Return the trained model, its history, the parameter arrays
+        it started with and copies of each epoch's weights."""
+        config = tiny_config()
+        model = build_model(config)
+        arrays = {name: t.data for name, t in model.parameters().items()}
+        examples = make_examples(config, 6)
+        losses = iter(val_losses)
+        after_epoch = []
+
+        def scripted(model, examples, class_weights=None):
+            after_epoch.append({name: t.data.tobytes() for name, t in model.parameters().items()})
+            return next(losses)
+
+        monkeypatch.setattr(training, "evaluate_loss", scripted)
+        train_config = quick_train_config(lr=1e-2, max_epochs=len(val_losses), patience=patience)
+        trained, history = train(model, examples, examples, train_config)
+        return trained, history, arrays, after_epoch
+
+    def test_one_epoch_copies_nothing_and_frees_the_gradients(self):
+        config = tiny_config(variant="cnn_fe")
+        model = build_model(config)
+        model.tag_vocab = TagVocabulary([f"t{i}" for i in range(config.n_tags)])
+        examples = make_examples(config, 12)
+        arrays = {name: t.data for name, t in model.parameters().items()}
+        train(model, examples, examples, quick_train_config(max_epochs=1, patience=0))
+        for name, t in model.parameters().items():
+            assert t.data is arrays[name], name
+            assert t._grad is None, name
+
+    def test_an_earlier_best_epoch_is_restored_bit_for_bit(self, monkeypatch):
+        trained, history, _, after_epoch = self.scripted_run(monkeypatch, [0.5, 0.6, 0.4, 0.45, 0.47], patience=1)
+        assert history.best_epoch == 3 and len(history.epochs) == 5
+        assert after_epoch[2] != after_epoch[4]
+        assert {name: t.data.tobytes() for name, t in trained.parameters().items()} == after_epoch[2]
+        assert all(t._grad is None for t in trained.parameters().values())
+
+    def test_a_best_last_epoch_keeps_the_trained_arrays(self, monkeypatch):
+        trained, history, arrays, after_epoch = self.scripted_run(monkeypatch, [0.5, 0.6, 0.4], patience=1)
+        assert history.best_epoch == 3
+        assert {name: t.data.tobytes() for name, t in trained.parameters().items()} == after_epoch[2]
+        assert all(t.data is arrays[name] for name, t in trained.parameters().items())
 
 
 class TestClassWeightResolution:
