@@ -56,7 +56,7 @@ def save_checkpoint(model, path):
             f.write(_HEADER.pack(MAGIC, VERSION, len(meta_bytes)))
             f.write(meta_bytes)
             for tensor in params.values():
-                f.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+                f.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -141,6 +141,13 @@ def _parse_k_list(text):
     return ks
 
 
+def _check_ks(ks, n_tags):
+    """Reject any k above the tag count before a command does any work."""
+    if max(ks) > n_tags:
+        raise ConfigError(f"--k must be in [1, {n_tags}]")
+    return ks
+
+
 def _read_input_texts(args):
     """(movie_id, text) pairs from --text or --input (TSV id<TAB>text or raw lines)."""
     if getattr(args, "text", None) is not None:
@@ -318,13 +325,11 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = _load_model(args)
-    lexicon = _read_lexicon(args.lexicon, model.config)
-    k = _parse_k_list(args.k)
+    k = _check_ks(_parse_k_list(args.k), model.config.n_tags)
     if len(k) != 1:
         raise ConfigError("predict takes a single --k")
     k = k[0]
-    if not 1 <= k <= model.config.n_tags:
-        raise ConfigError(f"--k must be in [1, {model.config.n_tags}]")
+    lexicon = _read_lexicon(args.lexicon, model.config)
     stopwords = load_stopwords()
     rows = []
     with _stage("predict"):
@@ -338,9 +343,9 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     model = _load_model(args)
+    ks = _check_ks(_parse_k_list(args.k), model.config.n_tags)
     lexicon = _read_lexicon(args.lexicon, model.config)
     corpus_path = _require(args.corpus, "--corpus", "to evaluate")
-    ks = _parse_k_list(args.k)
     _, test_records = _read_corpus(corpus_path, need=(Split.TEST,))
     with _stage("corpus"):
         truths = {r.movie_id: set(r.tags) for r in test_records}
@@ -378,6 +383,7 @@ def cmd_baselines(args):
     seed = args.seed if args.seed is not None else 0
     train_records, test_records = _read_corpus(corpus_path, need=(Split.TRAIN, Split.TEST))
     tag_vocab = TagVocabulary.from_records(train_records)
+    _check_ks(ks, len(tag_vocab))
     truths = {r.movie_id: set(r.tags) for r in test_records}
     movie_ids = [r.movie_id for r in test_records]
 

@@ -173,8 +173,11 @@ def build_vocabulary(train_records, max_words=MAX_VOCAB_WORDS, stopwords=None):
     counts = Counter()
     for r in train_records:
         counts.update(preprocess(r.synopsis, stopwords))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary([w for w, _ in ranked[:max_words]])
+    # by descending count, ties in ascending word order: a stable sort keeps
+    # the word order among equal keys, with or without reverse=True
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return Vocabulary(ranked[:max_words])
 
 
 class TagVocabulary:

@@ -20,7 +20,8 @@ from .errors import DataError, open_text
 EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
             "sadness", "surprise", "trust", "negative", "positive")
 
-_EMOTION_INDEX = {name: i for i, name in enumerate(EMOTIONS)}
+#: Each canonical label's bit in a word's 10-bit folds.
+_EMOTION_BITS = {name: 1 << i for i, name in enumerate(EMOTIONS)}
 
 DEFAULT_SEGMENTS = 20
 
@@ -78,29 +79,50 @@ def load_lexicon(path):
     Each word's lines fold into two 10-bit integers, the dimensions named so
     far and the ones set to 1, so a repeated (word, emotion) line is checked
     without a per-line key or array; the bit table is built once at the end.
+
+    EmoLex lists a word's labels on consecutive lines, so the word is
+    normalized and its folds looked up once per run of lines with the same
+    raw first field; a word that comes back in a later run, or in another
+    case, resumes from the folds its earlier runs stored.  A label or flag
+    is normalized only when its raw field is not already canonical.
     """
     named, ones = {}, {}
+    raw = word = None
+    seen = set_ = 0
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
+            parts = line.strip().split("\t")
             if len(parts) != 3:
+                if parts == [""]:  # a blank line
+                    continue
                 raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            word, emotion, flag = parts[0].strip().lower(), parts[1].strip().lower(), parts[2].strip()
-            if emotion not in _EMOTION_INDEX:
-                raise DataError(f"{path}: line {lineno}: unknown emotion label '{emotion}'")
-            if flag not in ("0", "1"):
-                raise DataError(f"{path}: line {lineno}: association must be 0 or 1, got '{flag}'")
-            bit = 1 << _EMOTION_INDEX[emotion]
-            seen, set_ = named.get(word, 0), ones.get(word, 0)
-            if seen & bit and bool(set_ & bit) != (flag == "1"):
+            if parts[0] != raw:
+                if word is not None:
+                    named[word], ones[word] = seen, set_
+                raw = parts[0]
+                word = raw.strip().lower()
+                seen, set_ = named.get(word, 0), ones.get(word, 0)
+            bit = _EMOTION_BITS.get(parts[1])
+            if bit is None:
+                emotion = parts[1].strip().lower()
+                bit = _EMOTION_BITS.get(emotion)
+                if bit is None:
+                    raise DataError(f"{path}: line {lineno}: unknown emotion label '{emotion}'")
+            flag = parts[2]
+            if flag != "1" and flag != "0":
+                flag = flag.strip()
+                if flag not in ("0", "1"):
+                    raise DataError(f"{path}: line {lineno}: association must be 0 or 1, got '{flag}'")
+            one = flag == "1"
+            if seen & bit and bool(set_ & bit) != one:
+                emotion = EMOTIONS[bit.bit_length() - 1]
                 raise DataError(f"{path}: line {lineno}: conflicting duplicate for {(word, emotion)}")
-            named[word] = seen | bit
-            if flag == "1":
-                ones[word] = set_ | bit
-    return EmotionLexicon._from_bits(list(named), [ones.get(word, 0) for word in named])
+            seen |= bit
+            if one:
+                set_ |= bit
+    if word is not None:
+        named[word], ones[word] = seen, set_
+    return EmotionLexicon._from_bits(list(named), [ones[word] for word in named])
 
 
 def segment_words(tokens, n_segments=DEFAULT_SEGMENTS):

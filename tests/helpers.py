@@ -8,7 +8,8 @@ import numpy as np
 
 from tagflow.autodiff import add, concat, constant, mul, tanh
 from tagflow.corpus import Split, SynopsisRecord
-from tagflow.emotion import segment_words
+from tagflow.emotion import EMOTIONS, EmotionLexicon, segment_words
+from tagflow.errors import DataError, open_text
 
 CORPUS_COLUMNS = ("movie_id", "title", "plot_synopsis", "tags", "split", "synopsis_source")
 
@@ -62,6 +63,34 @@ def reference_encoding(text, vocab, stopwords, lexicon, max_len, n_segments):
         if segment:
             row[:] = 100.0 * row / len(segment)
     return seq, flow.astype(np.float32)
+
+
+def reference_load_lexicon(path):
+    """``load_lexicon`` as a loop that normalizes and looks up every field of
+    every line: the oracle for its once-per-run parse."""
+    index = {name: i for i, name in enumerate(EMOTIONS)}
+    named, ones = {}, {}
+    with open_text(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+            word, emotion, flag = parts[0].strip().lower(), parts[1].strip().lower(), parts[2].strip()
+            if emotion not in index:
+                raise DataError(f"{path}: line {lineno}: unknown emotion label '{emotion}'")
+            if flag not in ("0", "1"):
+                raise DataError(f"{path}: line {lineno}: association must be 0 or 1, got '{flag}'")
+            bit = 1 << index[emotion]
+            seen, set_ = named.get(word, 0), ones.get(word, 0)
+            if seen & bit and bool(set_ & bit) != (flag == "1"):
+                raise DataError(f"{path}: line {lineno}: conflicting duplicate for {(word, emotion)}")
+            named[word] = seen | bit
+            if flag == "1":
+                ones[word] = set_ | bit
+    return EmotionLexicon._from_bits(list(named), [ones.get(word, 0) for word in named])
 
 
 def write_lexicon(path, text=SYNTHETIC_LEXICON):

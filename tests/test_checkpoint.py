@@ -122,6 +122,20 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_array_section_is_the_little_endian_float32_bytes_of_each_parameter(self, tmp_path, dtype):
+        model = build_model(small_config(variant="cnn_fe", seed=5), dtype=dtype)
+        # a non-contiguous parameter is written in C order too
+        model.embedding.table.data = np.asfortranarray(model.embedding.table.data)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        _, _, meta_len = _HEADER.unpack_from(blob)
+        expected = b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+                            for p in model.parameters().values())
+        assert blob[_HEADER.size + meta_len:] == expected
+
+
 class TestDrawFreeLoad:
     def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
         model = build_fitted_model()

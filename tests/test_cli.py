@@ -350,6 +350,15 @@ class TestEvaluate:
                        "--lexicon", workspace.lexicon, "--k", "9"])
         assert status == 1
 
+    def test_oversized_k_in_a_list_fails_before_writing_anything(self, workspace, tmp_path, capsys):
+        out = tmp_path / "eval"
+        out.mkdir()
+        status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", workspace.corpus,
+                       "--lexicon", workspace.lexicon, "--k", "1,9", "--out", str(out)])
+        assert status == 1
+        assert "error: --k must be in [1, 4]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_non_integer_k_fails(self, workspace, capsys):
         status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", workspace.corpus,
                        "--lexicon", workspace.lexicon, "--k", "two"])
@@ -379,6 +388,14 @@ class TestBaselines:
 
     def test_works_without_out_dir(self, workspace, capsys):
         assert main(["baselines", "--corpus", workspace.corpus, "--k", "1"]) == 0
+
+    def test_oversized_k_in_a_list_fails_before_writing_anything(self, workspace, tmp_path, capsys):
+        out = tmp_path / "base"
+        out.mkdir()
+        status = main(["baselines", "--corpus", workspace.corpus, "--k", "1,9", "--out", str(out)])
+        assert status == 1
+        assert "error: --k must be in [1, 4]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestCompare:

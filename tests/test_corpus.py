@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -170,6 +171,19 @@ class TestVocabulary:
         assert vocab.words == ["aa", "bb"]
         assert vocab.index("aa") == 2
         assert vocab.index("bb") == 3
+
+    def test_ranking_matches_the_count_then_word_key_on_tied_counts(self):
+        rng = np.random.default_rng(4)
+        letters = list("abcdefgh")
+        pool = ["".join(rng.choice(letters, size=int(rng.integers(1, 4)))) for _ in range(300)]
+        text = " ".join(pool[int(i)] for i in rng.integers(0, len(pool), size=600))
+        records = [make_record("m1", text, ["t"])]
+        counts = Counter(preprocess(text, frozenset()))
+        assert len(set(counts.values())) < len(counts) // 4  # most words share a count
+        expected = [w for w, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+        for max_words in (len(counts), 17):
+            vocab = build_vocabulary(records, max_words=max_words, stopwords=frozenset())
+            assert vocab.words == expected[:max_words]
 
     def test_oov_maps_to_one(self):
         vocab = Vocabulary(["known"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import GOLDEN_SYNOPSIS, write_lexicon
+from helpers import GOLDEN_SYNOPSIS, reference_load_lexicon, write_lexicon
 from tagflow.corpus import tokenize
 from tagflow.emotion import (
     DEFAULT_SEGMENTS,
@@ -100,6 +101,88 @@ class TestLexicon:
     def test_direct_construction_validates_shape(self):
         with pytest.raises(DataError):
             EmotionLexicon({"w": [1, 0]})
+
+
+def _parsed(load, path):
+    """A loader's lexicon as comparable bytes, or its DataError message."""
+    try:
+        lex = load(path)
+    except DataError as e:
+        return "error", str(e)
+    return list(lex._index), lex._table.tobytes()
+
+
+#: Field variants for the fuzz: canonical, case and whitespace variants that
+#: normalize to it, and ones that do not normalize to any valid value.
+_FUZZ_WORDS = ("gleam", "Gleam", "GLEAM", "gleam ", "gleam\xa0", "dread", "Dread ", "mourn", "calm",
+               "\u0130z", "i\u0307z")  # "İ" lowercases to "i" and a combining dot
+_FUZZ_LABELS = EMOTIONS + ("Joy", " fear", "trust ", "NEGATIVE", "anger\xa0", "bliss", " Bliss", "", "joy-")
+_FUZZ_FLAGS = ("0", "1", " 1", "0 ", "\xa00", "2", " 2", "", "01", "1.0")
+
+
+def _fuzzed_lexicon(rng):
+    """One small lexicon text of runs of a word's lines, with the variants above."""
+    p_odd = rng.choice([0.0, 0.02, 0.1, 0.3])  # share of off-canonical fields
+    truth = {}  # the flag each (word, label) gets unless it is flipped into a conflict
+    lines = []
+    for _ in range(rng.randrange(7)):
+        word = rng.choice(_FUZZ_WORDS)
+        for _ in range(rng.randrange(1, 12)):
+            label = rng.choice(_FUZZ_LABELS) if rng.random() < p_odd else rng.choice(EMOTIONS)
+            flag = truth.setdefault((word.strip().lower(), label), rng.choice("01"))
+            if rng.random() < p_odd:
+                flag = rng.choice(_FUZZ_FLAGS)
+            fields = [word, label, flag]
+            if rng.random() < p_odd:  # a field too many or too few
+                fields = fields + ["x"] if rng.random() < 0.5 else fields[:2]
+            line = "\t".join(fields)
+            if rng.random() < p_odd:  # blank or edge whitespace
+                line = rng.choice(("", " ", "\t", "\t" + line, line + "\t", " " + line + " "))
+            lines.append(line)
+    ending = rng.choice(("\n", "\r\n", "\r"))
+    return ending.join(lines) + (ending if rng.random() < 0.5 else "")
+
+
+class TestLoadLexiconMatchesTheLineLoop:
+    """``load_lexicon`` parses once per run of a word's lines; the per-line loop
+    in ``helpers.reference_load_lexicon`` is its oracle."""
+
+    def check(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        got = _parsed(load_lexicon, path)
+        assert got == _parsed(reference_load_lexicon, path), text
+        return got
+
+    def test_fuzzed_files_give_the_same_lexicon_or_error(self, tmp_path):
+        rng = random.Random(14)
+        path = tmp_path / "fuzzed.txt"
+        outcomes = set()
+        for _ in range(20_000):
+            got = self.check(path, _fuzzed_lexicon(rng))
+            outcomes.add(got[1].split(": ")[-1].split(" ")[0] if got[0] == "error" else "ok")
+        # every kind of error and a clean parse were reached
+        assert outcomes == {"ok", "expected", "unknown", "association", "conflicting"}
+
+    @pytest.mark.parametrize("text", [
+        "gleam\tjoy\t1\ndread\tfear\t1\ngleam\tfear\t1\n",           # a word in a later run
+        "gleam\tjoy\t1\nGleam\tfear\t1\ngleam \tsadness\t1\n",       # case and whitespace runs
+        "gleam\tjoy\t1\ndread\tfear\t1\ngleam\tjoy\t0\n",            # a conflict across runs
+        "gleam\tjoy\t1\n\n \ngleam\tjoy\t0\n",                       # blank lines inside a run
+        "calm\tanger\t0\ngleam\t Joy \t1\n",                         # a label normalized on a miss
+        "gleam\tjoy\t 1\ngleam\tfear\t0\xa0\n",                      # flags stripped on a miss
+        "\tgleam\tjoy\t1\t\r\ndread\tfear\t1",                       # tabs at the edges, CRLF
+        "gleam\tjoy\t1\rGLEAM\tBLISS\t1\r",                          # CR endings, a bad label
+        "dread\tfear\t1\ngleam\tjoy\t1",                             # the last run is stored
+    ])
+    def test_edge_cases(self, tmp_path, text):
+        self.check(tmp_path / "lex.txt", text)
+
+    def test_emolex_shaped_file_and_its_shuffle(self, tmp_path):
+        rng = np.random.default_rng(3)
+        lines = [f"w{i:04d}\t{label}\t{int(rng.random() < 0.2)}" for i in range(1500) for label in EMOTIONS]
+        self.check(tmp_path / "runs.txt", "\n".join(lines) + "\n")
+        rng.shuffle(lines)
+        self.check(tmp_path / "shuffled.txt", "\n".join(lines) + "\n")
 
 
 class TestSegmentWords:
