@@ -33,7 +33,7 @@ from .emotion import (
     segment_words,
 )
 from .errors import ConfigError, DataError, NumericError
-from .layers import ClassWeights, compute_class_weights, weighted_kl_loss
+from .layers import ClassWeights, compute_class_weights
 from .metrics import (
     MetricsReport,
     baseline_most_frequent,
@@ -67,7 +67,7 @@ __all__ = [
     "EMOTIONS", "EmotionLexicon", "emotion_flow", "emotion_vector",
     "flow_to_csv", "load_lexicon", "segment_words",
     "ConfigError", "DataError", "NumericError",
-    "ClassWeights", "compute_class_weights", "weighted_kl_loss",
+    "ClassWeights", "compute_class_weights",
     "MetricsReport", "baseline_most_frequent", "baseline_random",
     "evaluate_predictions", "micro_f1", "prediction_overlap", "recall_delta",
     "tag_in_text_rate", "tag_recall", "tags_learned",

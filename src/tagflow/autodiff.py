@@ -300,35 +300,11 @@ def windows(x, c):
     return _make(window_matrix(x.data, c), (x,), bwd)
 
 
-def distinct_rows(data):
-    """The distinct rows of a (T, E) array, and which one each row is.
-
-    Returns ``(rows, inverse)``: ``rows`` is (U, E) and ``rows[inverse[t]]``
-    has the bytes of ``data[t]``.  Rows compare as bytes, through a void
-    view, so a NaN row is kept as it is and 0.0 and -0.0 count as different
-    values.  ``rows`` comes out in byte order, so two arrays that hold the
-    same set of rows give the same ``rows``.
-    """
-    data = np.ascontiguousarray(data)
-    dim = data.shape[1]
-    keys = data.view(np.dtype((np.void, dim * data.itemsize))).ravel()
-    # np.unique(keys, return_inverse=True), with its byte-wise != on void
-    # keys replaced by a compare of the sorted rows as integers.
-    order = keys.argsort(kind="stable")
-    ordered = data[order]
-    words = ordered.view(np.dtype(f"i{data.itemsize}"))
-    first = np.empty(len(order), dtype=bool)
-    first[:1] = True
-    np.any(words[1:] != words[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
 def window_scores(distinct, w):
-    """``window_matrix(data, c) @ w`` for a (T, E) array, from its ``distinct_rows``.
+    """``window_matrix(data, c) @ w`` for a (T, E) array, from its distinct rows.
 
-    ``w`` is (c * E, F) and the result (T - c + 1, F).  Each distinct row is
+    ``distinct`` is ``(rows, inverse)`` with ``rows[inverse]`` equal to
+    ``data``, ``w`` is (c * E, F) and the result (T - c + 1, F).  Each row is
     projected once by each of w's c row blocks, ``proj = rows @ w.reshape(c,
     E, F)``, and window t sums ``proj[0, inverse[t]] + ... + proj[c - 1,
     inverse[t + c - 1]]``.  That is U c E F multiply-adds for U distinct rows
@@ -360,7 +336,7 @@ def window_max_pool(xw, w, b, distinct):
     """One conv width, max-pooled over time: ``relu(max_t (xw @ w)[t] + b)``.
 
     ``xw`` is the (n, c * E) window matrix of a (T, E) sequence (see
-    ``windows``), ``distinct`` that sequence's ``distinct_rows``, ``w``
+    ``windows``), ``distinct`` that sequence's ``(rows, inverse)``, ``w``
     (c * E, F) and ``b`` (1, F); the result is (F,).  The scores ``xw @ w``
     come from the distinct rows (see ``window_scores``), so equal windows
     score the same bits.  Bias and relu go on after the max, once per

@@ -18,6 +18,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
     Split,
@@ -224,6 +226,14 @@ def _model_inputs(model, text, stopwords, lexicon):
                         model.config.seq_len, model.config.n_segments)
 
 
+def _probabilities(model, movie_id, tokens, flow):
+    """The model's tag probabilities for one example; NumericError if any is not finite."""
+    probs = model.forward(tokens, flow).data
+    if not np.isfinite(probs).all():
+        raise NumericError(f"non-finite tag probability for movie '{movie_id}'")
+    return probs
+
+
 def _require(value, flag, why):
     if not value:
         raise ConfigError(f"{flag} is required {why}")
@@ -335,7 +345,7 @@ def cmd_predict(args):
     with _stage("predict"):
         for movie_id, text in _read_input_texts(args):
             tokens, flow = _model_inputs(model, text, stopwords, lexicon)
-            probs = model.forward(tokens, flow).data
+            probs = _probabilities(model, movie_id, tokens, flow)
             rows.append((movie_id, predict_top_k(probs, k, model.tag_vocab), probs))
     _write_or_print(_prediction_text(rows, model.tag_vocab), args.out)
     return 0
@@ -357,7 +367,7 @@ def cmd_evaluate(args):
     with _stage("evaluate"):
         prob_rows = {}
         for example in examples:
-            prob_rows[example.movie_id] = model.forward(example.tokens, example.flow).data
+            prob_rows[example.movie_id] = _probabilities(model, example.movie_id, example.tokens, example.flow)
         mean_kl = evaluate_loss(model, examples)
         for k in ks:
             preds = {

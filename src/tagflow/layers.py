@@ -26,9 +26,8 @@ from .autodiff import (
     _make,
     concat,
     constant,
-    distinct_rows,
     embedding_gather,
-    kl_divergence,
+    kl_divergence,  # noqa: F401 -- not called here; perfbench's tracer patches it in this module
     recording,
     relu,
     reshape,
@@ -37,6 +36,7 @@ from .autodiff import (
     window_max_pool,
     windows,
 )
+from .corpus import PAD_INDEX
 from .errors import DataError
 
 
@@ -122,29 +122,36 @@ class ConvBank:
         return out
 
 
-def conv_bank_forward(embedded, bank):
+# ``tokens`` is keyword-only: perfbench's tracer unpacks the positional arguments as (embedded, bank).
+def conv_bank_forward(embedded, bank, *, tokens):
     """relu(conv) + max-over-time per filter width, concatenated.
 
-    ``embedded`` is a (T, embed_dim) tensor; the result is a 1-D tensor of
-    width ``len(filter_sizes) * n_filters``, filter widths in declared order.
+    ``embedded`` is a (T, embed_dim) tensor and ``tokens`` the (T,) ids it
+    was looked up from; the result is a 1-D tensor of width
+    ``len(filter_sizes) * n_filters``, filter widths in declared order.
+    Equal tokens must have equal rows, as they do when ``embedded`` is
+    ``table[tokens]``.
 
     Each width c is two nodes, ``windows`` and ``window_max_pool``, whose
     backward reaches only each filter's winning window.  The scores come from
-    the input's distinct rows (``distinct_rows``, found once per call): each
-    of them is projected by each of the c row blocks of the
+    the rows of the distinct tokens (``np.unique``, once per call): each of
+    them is projected by each of the c row blocks of the
     (c * embed_dim, n_filters) weights, and window t sums c of those
     projections.  Per width that is U * c * embed_dim * n_filters
-    multiply-adds for U distinct rows plus c row gathers, where a GEMM of the
-    (T - c + 1, c * embed_dim) window matrix would take
+    multiply-adds for U distinct tokens plus c row gathers, where a GEMM of
+    the (T - c + 1, c * embed_dim) window matrix would take
     (T - c + 1) * c * embed_dim * n_filters.
 
-    Sequences are left-padded with the all-zero padding row.  When no tape
-    records, the rows before the last ``max(filter_sizes)`` leading zero rows
-    are dropped: each window they start is all zeros, and so is one window
-    every width keeps, which scores the same, so no max changes.  The kept
-    rows hold the same set of distinct rows, so both calls give the same bits.
+    Sequences are left-padded with ``PAD_INDEX``.  When no tape records, the
+    rows before the last ``max(filter_sizes)`` leading pad tokens are
+    dropped: each window they start holds only the pad row, and so does one
+    window every width keeps, which scores the same, so no max changes.  The
+    kept tokens have the same distinct ids, so both calls give the same bits.
     """
     seq_len, embed_dim = embedded.data.shape
+    tokens = np.asarray(tokens)
+    if tokens.shape != (seq_len,):
+        raise ValueError(f"tokens of shape {tokens.shape} do not match {seq_len} embedded rows")
     largest = max(bank.filter_sizes)
     if seq_len < largest:
         raise ValueError(
@@ -155,10 +162,12 @@ def conv_bank_forward(embedded, bank):
     x = embedded
     # Training keeps every row while perfbench's tape-cycle RSS test contrasts dead-tape size.
     if not recording(embedded, *bank.parameters().values()):
-        nonzero = np.flatnonzero(embedded.data.any(axis=1))
-        lead = int(nonzero[0]) if nonzero.size else seq_len
-        x = constant(embedded.data[max(lead - largest, 0):], dtype=embedded.dtype)
-    distinct = distinct_rows(x.data)
+        real = np.flatnonzero(tokens != PAD_INDEX)
+        start = max((int(real[0]) if real.size else seq_len) - largest, 0)
+        x = constant(embedded.data[start:], dtype=embedded.dtype)
+        tokens = tokens[start:]
+    _, first, inverse = np.unique(tokens, return_index=True, return_inverse=True)
+    distinct = (x.data[first], inverse)
     pooled = [window_max_pool(windows(x, c), bank.weights[c], bank.biases[c], distinct)
               for c in bank.filter_sizes]
     return concat(pooled, axis=-1)
@@ -408,8 +417,3 @@ def compute_class_weights(train_records, tag_vocab):
         if m == 0:
             raise DataError(f"tag '{tag}' never occurs in the training records; its weight is undefined")
     return ClassWeights(n_examples=len(train_records), tag_counts=tuple(counts))
-
-
-def weighted_kl_loss(true_dist, pred_dist, class_weights):
-    """KL divergence with each tag term scaled by its class weight."""
-    return kl_divergence(true_dist, pred_dist, weights=class_weights.weights)

@@ -214,7 +214,7 @@ class TagModel:
 
         tokens = np.asarray(tokens)
         embedded = self.embedding.lookup(tokens)
-        features = [conv_bank_forward(embedded, self.conv)]
+        features = [conv_bank_forward(embedded, self.conv, tokens=tokens)]
         if self.config.uses_flow:
             states, final = bilstm_forward(flow.astype(self.dtype), self.lstm_fwd, self.lstm_bwd)
             r, _ = attention_forward(states, self.attention)

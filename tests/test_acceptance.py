@@ -144,7 +144,7 @@ def test_criterion_3_gradient_verification():
     rng = np.random.default_rng(5)
     bank = ConvBank((2, 3), 3, 4, rng, dtype=np.float64)
     x = constant(rng.standard_normal((7, 4)))
-    gradcheck(lambda: sum_(conv_bank_forward(x, bank)),
+    gradcheck(lambda: sum_(conv_bank_forward(x, bank, tokens=np.arange(1, 8))),
               list(bank.parameters().values()), np.random.default_rng(0))
 
     # LSTM cell through two steps (state feedback active), in both directions

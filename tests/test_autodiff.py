@@ -22,7 +22,6 @@ from tagflow.autodiff import (
     backward,
     concat,
     constant,
-    distinct_rows,
     dropout,
     embedding_gather,
     gradcheck,
@@ -239,7 +238,7 @@ class TestFiniteDifferenceOracle:
         top2 = np.sort(scores, axis=0)[-2:]
         assert (top2[1] - top2[0]).min() > 0.05 and (top2[1] + b.data[0]).min() > 0.05  # off the kinks
         g = constant(rng.normal(size=4))
-        gradcheck(lambda: sum_(mul(window_max_pool(windows(x, 3), w, b, distinct_rows(x.data)), g)), [x, w, b],
+        gradcheck(lambda: sum_(mul(window_max_pool(windows(x, 3), w, b, (x.data, np.arange(7))), g)), [x, w, b],
                   samples=14)
 
 
@@ -252,7 +251,7 @@ def _pool(xw, w, b, g):
     w = Tensor(np.asarray(w, dtype=np.float64), requires_grad=True, dtype=np.float64)
     b = Tensor(np.asarray(b, dtype=np.float64).reshape(1, -1), requires_grad=True, dtype=np.float64)
     with Tape():
-        out = window_max_pool(xw, w, b, distinct_rows(xw.data))
+        out = window_max_pool(xw, w, b, (xw.data, np.arange(xw.data.shape[0])))
         loss = sum_(mul(out, constant(np.asarray(g, dtype=np.float64))))
     backward(loss)
     return out.data, xw.grad, w.grad, b.grad
@@ -286,7 +285,7 @@ class TestWindows:
     def test_pool_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"\(4, 3\) x \(2, 5\)"):
             window_max_pool(constant(np.ones((4, 3))), constant(np.ones((2, 5))), constant(np.ones((1, 5))),
-                            distinct_rows(np.ones((4, 3))))
+                            (np.ones((1, 3)), np.zeros(4, dtype=np.intp)))
 
     def test_pool_rejects_distinct_rows_of_another_sequence(self):
         x = np.arange(15.0).reshape(5, 3)
@@ -294,7 +293,7 @@ class TestWindows:
         # one row short, rows of another width, one row over
         for other in (x[:4], x.reshape(3, 5), np.ones((6, 3))):
             with pytest.raises(ValueError, match=r"-wide rows of a \d-row sequence"):
-                window_max_pool(xw, w, b, distinct_rows(other))
+                window_max_pool(xw, w, b, (other, np.arange(other.shape[0])))
 
     def test_filters_winning_on_the_same_window_add_their_gradients(self):
         xw = np.array([[1.0, 0.0], [3.0, 2.0], [0.0, 1.0]])
@@ -332,9 +331,11 @@ class TestWindows:
         npt.assert_array_equal(dw, [[2.0, 0.0], [0.0, 0.0]])
 
 
-def _repeated(rng, seq_len, dim, vocab):
-    """(seq_len, dim) float64 rows drawn from ``vocab`` distinct rows."""
-    return rng.standard_normal((vocab, dim))[rng.integers(0, vocab, size=seq_len)]
+def _by_token(table, tokens):
+    """``table[tokens]`` and its ``(rows, inverse)``, keyed by token id as the conv bank keys them."""
+    _, first, inverse = np.unique(tokens, return_index=True, return_inverse=True)
+    x = table[tokens]
+    return x, (x[first], inverse)
 
 
 class TestWindowScores:
@@ -342,49 +343,23 @@ class TestWindowScores:
     @pytest.mark.parametrize("c", [1, 2, 5])
     def test_equal_the_window_matrix_product(self, rows, c):
         rng = np.random.default_rng(c)
-        x = {"repeated": _repeated(rng, 150, 6, 3),
-             "distinct": rng.standard_normal((150, 6)),
-             "padding": np.zeros((150, 6))}[rows]
+        tokens = {"repeated": rng.integers(0, 3, size=150), "distinct": np.arange(150),
+                  "padding": np.zeros(150, dtype=np.intp)}[rows]
+        x, distinct = _by_token(rng.standard_normal((150, 6)) if rows != "padding" else np.zeros((1, 6)), tokens)
         w = rng.standard_normal((c * 6, 2048))  # 16 windows to a block of scores
-        distinct = distinct_rows(x)
         assert distinct[0].shape[0] == {"repeated": 3, "distinct": 150, "padding": 1}[rows]
         npt.assert_allclose(window_scores(distinct, w), window_matrix(x, c) @ w, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_windows_with_the_same_rows_score_the_same_bits(self, dtype):
         rng = np.random.default_rng(31)
-        x = _repeated(rng, 200, 5, 4).astype(dtype)
-        x[141:144] = x[7:10]
+        table = rng.standard_normal((4, 5)).astype(dtype)
+        tokens = rng.integers(0, 4, size=200)
+        tokens[141:144] = tokens[7:10]
         # 1024 filters: 32 or 64 windows to a block, so 7 and 141 are in different blocks
-        scores = window_scores(distinct_rows(x), rng.standard_normal((15, 1024)).astype(dtype))
+        scores = window_scores(_by_token(table, tokens)[1], rng.standard_normal((15, 1024)).astype(dtype))
         assert scores.dtype == dtype
         npt.assert_array_equal(scores[141], scores[7])
-
-    def test_distinct_rows_index_back_to_the_input(self):
-        rng = np.random.default_rng(32)
-        x = _repeated(rng, 30, 4, 5)
-        x[3, 1], x[4] = -0.0, np.nan
-        rows, inverse = distinct_rows(x)
-        assert rows.shape == (7, 4) and inverse.shape == (30,)
-        assert rows[inverse].tobytes() == x.tobytes()
-        # the same set of rows in another order gives the same rows
-        npt.assert_array_equal(distinct_rows(x[::-1])[0], rows)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_distinct_rows_are_the_bytes_np_unique_gives(self, dtype):
-        """The sort-and-compare in ``distinct_rows`` against ``np.unique`` on void
-        keys: the same (rows, inverse) bytes, NaN rows and 0.0 / -0.0 kept apart."""
-        rng = np.random.default_rng(33)
-        values = np.array([0.0, -0.0, np.nan, 1.0, -1.0, np.inf, 2.5], dtype=dtype)
-        for _ in range(200):
-            n_rows, dim, vocab = int(rng.integers(0, 60)), int(rng.integers(1, 7)), int(rng.integers(1, 10))
-            x = values[rng.integers(0, len(values), size=(vocab, dim))][rng.integers(0, vocab, size=n_rows)]
-            keys = x.view(np.dtype((np.void, dim * x.itemsize))).ravel()
-            unique, inverse = np.unique(keys, return_inverse=True)
-            rows, got_inverse = distinct_rows(x)
-            assert rows.dtype == dtype and rows.shape == (len(unique), dim)
-            assert rows.tobytes() == unique.tobytes()
-            assert got_inverse.dtype == inverse.dtype and got_inverse.tobytes() == inverse.ravel().tobytes()
 
 
 class TestDropout:

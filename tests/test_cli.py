@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import GOLDEN_SYNOPSIS, write_corpus_csv
+from tagflow.checkpoint import load_checkpoint, save_checkpoint
 from tagflow.cli import main
 from tagflow.metrics import MetricsReport
 from tagflow.model import MAX_INPUT_ROWS
@@ -243,6 +244,16 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
 
+@pytest.fixture
+def nan_checkpoint(workspace, tmp_path):
+    """The trained cnn_fe checkpoint with one output bias set to NaN."""
+    model = load_checkpoint(workspace.fe_ckpt)
+    model.dense_out.bias.data[0, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path)
+    return str(path)
+
+
 class TestPredict:
     def test_output_is_a_ranked_distribution(self, workspace, capsys):
         status = main(["predict", "--checkpoint", workspace.fe_ckpt, "--lexicon", workspace.lexicon,
@@ -325,6 +336,17 @@ class TestPredict:
         assert status == 1
         assert "cnn_fe" in capsys.readouterr().err
 
+    def test_non_finite_prediction_exits_3_naming_the_movie(self, workspace, nan_checkpoint, tmp_path, capsys):
+        batch = tmp_path / "batch.tsv"
+        batch.write_text("movieA\tthe killer strikes again\nmovieB\tghosts in the manor\n", encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        status = main(["predict", "--checkpoint", nan_checkpoint, "--lexicon", workspace.lexicon,
+                       "--k", "2", "--input", str(batch), "--out", str(out)])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert "error: [predict] non-finite tag probability for movie 'movieA'" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestEvaluate:
     def test_reports_and_prediction_files_per_k(self, workspace, tmp_path, capsys):
@@ -358,6 +380,15 @@ class TestEvaluate:
         assert status == 1
         assert "error: --k must be in [1, 4]" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_non_finite_prediction_exits_3_naming_the_movie(self, workspace, nan_checkpoint, tmp_path, capsys):
+        out = tmp_path / "eval"
+        status = main(["evaluate", "--checkpoint", nan_checkpoint, "--corpus", workspace.corpus,
+                       "--lexicon", workspace.lexicon, "--k", "1,2", "--out", str(out)])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert "error: [evaluate] non-finite tag probability for movie 'x1'" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_non_integer_k_fails(self, workspace, capsys):
         status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", workspace.corpus,

@@ -17,7 +17,6 @@ from tagflow.autodiff import (
     backward,
     constant,
     gradcheck,
-    kl_divergence,
     mul,
     sum_,
     window_max_pool,
@@ -36,7 +35,6 @@ from tagflow.layers import (
     compute_class_weights,
     conv_bank_forward,
     glorot_uniform,
-    weighted_kl_loss,
 )
 
 
@@ -86,6 +84,13 @@ class TestEmbedding:
         gradcheck(lambda: sum_(emb.lookup(indices)), [emb.table])
 
 
+def _left_padded(seq_len, n_real):
+    """Token ids for ``seq_len`` rows whose last ``n_real`` are real: pad ids, then 1, 2, ..."""
+    tokens = np.zeros(seq_len, dtype=np.intp)
+    tokens[seq_len - n_real:] = np.arange(1, n_real + 1)
+    return tokens
+
+
 class TestConvBank:
     def test_output_dim_counts_all_widths(self):
         bank = ConvBank((2, 3, 4, 5), 1024, 300, np.random.default_rng(0))
@@ -100,41 +105,48 @@ class TestConvBank:
         bank.biases[2].data[:] = -6.0
         x = constant(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         # window dots: (1,2,3,4) -> 5.0 and (3,4,5,6) -> 8.5; relu(. - 6) -> (0, 2.5)
-        out = conv_bank_forward(x, bank)
+        out = conv_bank_forward(x, bank, tokens=[1, 2, 3])
         npt.assert_allclose(out.data, [2.5], rtol=1e-6)
 
     def test_output_is_concat_in_declared_width_order(self):
         rng = np.random.default_rng(3)
         bank = ConvBank((2, 3), 4, 5, rng)
         x = constant(rng.standard_normal((9, 5)).astype(np.float32))
-        out = conv_bank_forward(x, bank)
+        out = conv_bank_forward(x, bank, tokens=np.arange(1, 10))
         assert out.data.shape == (8,)
         solo2 = ConvBank((2,), 4, 5, np.random.default_rng(0))
         solo2.weights[2], solo2.biases[2] = bank.weights[2], bank.biases[2]
-        npt.assert_array_equal(out.data[:4], conv_bank_forward(x, solo2).data)
+        npt.assert_array_equal(out.data[:4], conv_bank_forward(x, solo2, tokens=np.arange(1, 10)).data)
 
     def test_all_padding_input_yields_relu_bias(self):
         bank = ConvBank((2,), 3, 4, np.random.default_rng(1))
         bank.biases[2].data[:] = np.array([[-1.0, 0.0, 2.0]], dtype=np.float32)
-        out = conv_bank_forward(constant(np.zeros((6, 4), dtype=np.float32)), bank)
+        out = conv_bank_forward(constant(np.zeros((6, 4), dtype=np.float32)), bank, tokens=np.zeros(6, int))
         npt.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_sequence_shorter_than_largest_filter_rejected(self):
         bank = ConvBank((2, 5), 3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="5"):
-            conv_bank_forward(constant(np.zeros((4, 4), dtype=np.float32)), bank)
+            conv_bank_forward(constant(np.zeros((4, 4), dtype=np.float32)), bank, tokens=np.zeros(4, int))
 
     def test_embedding_width_mismatch_rejected(self):
         bank = ConvBank((2,), 3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="width"):
-            conv_bank_forward(constant(np.zeros((6, 5), dtype=np.float32)), bank)
+            conv_bank_forward(constant(np.zeros((6, 5), dtype=np.float32)), bank, tokens=np.zeros(6, int))
+
+    def test_tokens_that_do_not_match_the_rows_rejected(self):
+        bank = ConvBank((2,), 3, 4, np.random.default_rng(0))
+        x = constant(np.zeros((6, 4), dtype=np.float32))
+        for tokens in (np.zeros(5, int), np.zeros(7, int), np.zeros((6, 1), int)):
+            with pytest.raises(ValueError, match="tokens"):
+                conv_bank_forward(x, bank, tokens=tokens)
 
     def test_gradcheck_all_widths(self):
         rng = np.random.default_rng(5)
         bank = ConvBank((2, 3), 3, 4, rng, dtype=np.float64)
         x = constant(rng.standard_normal((7, 4)))
         params = list(bank.parameters().values())
-        gradcheck(lambda: sum_(conv_bank_forward(x, bank)), params, np.random.default_rng(0))
+        gradcheck(lambda: sum_(conv_bank_forward(x, bank, tokens=np.arange(1, 8))), params, np.random.default_rng(0))
 
     def test_gradcheck_through_the_embedded_input(self):
         rng = np.random.default_rng(6)
@@ -142,14 +154,16 @@ class TestConvBank:
         x = Tensor(rng.standard_normal((7, 4)), requires_grad=True, dtype=np.float64)
         g = constant(rng.normal(size=6))
         params = [x, *bank.parameters().values()]
-        gradcheck(lambda: sum_(mul(conv_bank_forward(x, bank), g)), params, np.random.default_rng(0), samples=10)
+        # every row its own token: perturbing one copy of a repeated token would break the contract
+        gradcheck(lambda: sum_(mul(conv_bank_forward(x, bank, tokens=np.arange(1, 8)), g)), params,
+                  np.random.default_rng(0), samples=10)
 
     def test_records_two_tape_nodes_per_filter_width(self):
         rng = np.random.default_rng(9)
         bank = ConvBank((2, 3, 5), 4, 3, rng)
         x = Tensor(rng.standard_normal((9, 3)), requires_grad=True)
         with Tape() as tape:
-            conv_bank_forward(x, bank)
+            conv_bank_forward(x, bank, tokens=np.arange(1, 10))
         assert len(tape) == 2 * 3 + 1  # windows and window_max_pool per width, one concat
 
     def test_winning_all_padding_window_trains_only_the_bias(self):
@@ -160,7 +174,7 @@ class TestConvBank:
         x.data[3:] = np.abs(np.random.default_rng(3).standard_normal((3, 3))) + 0.1
         # every window touching a real row scores < 0, so the first all-padding window wins
         with Tape():
-            out = conv_bank_forward(x, bank)
+            out = conv_bank_forward(x, bank, tokens=[0, 0, 0, 1, 2, 3])
             loss = sum_(mul(out, constant([3.0, 4.0])))
         backward(loss)
         npt.assert_array_equal(out.data, [0.5, 0.0])
@@ -197,12 +211,13 @@ class TestConvBank:
             for w in bank.weights.values():
                 w.data[:] = sign * np.abs(w.data)
         x[12 - n_real:] = real
+        tokens = _left_padded(12, n_real)
         with Tape() as tape:
-            taped = conv_bank_forward(constant(x, dtype=dtype), bank)
+            taped = conv_bank_forward(constant(x, dtype=dtype), bank, tokens=tokens)
         assert len(tape) > 0
-        free = conv_bank_forward(constant(x, dtype=dtype), bank)
+        free = conv_bank_forward(constant(x, dtype=dtype), bank, tokens=tokens)
         assert free.tape is None and free.dtype == dtype
-        # the trimmed rows hold the same distinct rows, so the bits agree
+        # the trimmed rows hold the same distinct tokens, so the bits agree
         npt.assert_array_equal(free.data, taped.data)
         if sign < 0:
             relu_b = np.maximum(np.concatenate([bank.biases[c].data[0] for c in bank.filter_sizes]), 0)
@@ -225,13 +240,36 @@ class TestConvBank:
             return window_max_pool(xw, w, b, distinct)
 
         monkeypatch.setattr(layers, "window_max_pool", spy)
-        conv_bank_forward(constant(x), bank)
-        # n_real rows plus the widest filter's 5 zero rows
+        conv_bank_forward(constant(x), bank, tokens=_left_padded(20, n_real))
+        # n_real rows plus the widest filter's 5 pad rows
         assert window_rows == [n_real + 5 - c + 1 for c in bank.filter_sizes]
         window_rows.clear()
         with Tape():
-            conv_bank_forward(constant(x), bank)
+            conv_bank_forward(constant(x), bank, tokens=_left_padded(20, n_real))
         assert window_rows == [20 - c + 1 for c in bank.filter_sizes]
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_projects_one_row_per_distinct_kept_token(self, taped, monkeypatch):
+        rng = np.random.default_rng(13)
+        bank = ConvBank((2, 3, 5), 4, 3, rng)
+        table = rng.standard_normal((10, 3)).astype(np.float32)
+        table[0] = 0.0
+        tokens = np.r_[np.zeros(9, dtype=np.intp), [3, 5, 3, 7, 5, 5, 9, 3, 1, 7, 7]]
+        seen = []
+
+        def spy(xw, w, b, distinct):
+            seen.append(distinct)
+            return window_max_pool(xw, w, b, distinct)
+
+        monkeypatch.setattr(layers, "window_max_pool", spy)
+        with Tape() if taped else contextlib.nullcontext():
+            conv_bank_forward(Tensor(table[tokens], requires_grad=taped), bank, tokens=tokens)
+        # a tape-free call keeps the widest filter's 5 pad rows of the 9
+        kept = tokens if taped else tokens[4:]
+        assert len(seen) == 3 and all(d is seen[0] for d in seen)
+        rows, inverse = seen[0]
+        assert rows.shape == (6, 3)  # the pad id and 1, 3, 5, 7, 9
+        npt.assert_array_equal(rows[inverse], table[kept])
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_nan_embedding_row_makes_every_filter_nan(self, taped):
@@ -242,7 +280,7 @@ class TestConvBank:
         x[8, 2] = np.nan
         # every filter scores every window, and the windows over row 8 score NaN
         with Tape() if taped else contextlib.nullcontext():
-            out = conv_bank_forward(Tensor(x, requires_grad=taped), bank)
+            out = conv_bank_forward(Tensor(x, requires_grad=taped), bank, tokens=_left_padded(12, 8))
         assert (out.tape is not None) == taped
         assert np.isnan(out.data).all()
 
@@ -256,21 +294,22 @@ class TestConvBank:
         signed[:6:2] = -0.0  # padding rows of both signs, distinct as bytes
         signed[9, 1] = signed[12, 0] = -0.0
         assert signed.tobytes() != x.tobytes()
-        expected = conv_bank_forward(constant(x), bank).data
-        npt.assert_array_equal(conv_bank_forward(constant(signed), bank).data, expected)
+        tokens = _left_padded(16, 10)
+        expected = conv_bank_forward(constant(x), bank, tokens=tokens).data
+        npt.assert_array_equal(conv_bank_forward(constant(signed), bank, tokens=tokens).data, expected)
         with Tape():
-            taped = conv_bank_forward(Tensor(signed, requires_grad=True), bank)
+            taped = conv_bank_forward(Tensor(signed, requires_grad=True), bank, tokens=tokens)
         npt.assert_array_equal(taped.data, expected)
 
     def test_tape_free_path_records_nothing_under_an_active_tape(self):
         rng = np.random.default_rng(8)
         bank = ConvBank((2, 3), 4, 5, rng)
         x = constant(rng.standard_normal((9, 5)).astype(np.float32))
-        expected = conv_bank_forward(x, bank).data
+        expected = conv_bank_forward(x, bank, tokens=np.arange(1, 10)).data
         for p in bank.parameters().values():
             p.requires_grad = False
         with Tape() as tape:
-            out = conv_bank_forward(x, bank)
+            out = conv_bank_forward(x, bank, tokens=np.arange(1, 10))
         assert len(tape) == 0 and out.tape is None
         npt.assert_array_equal(out.data, expected)
 
@@ -617,19 +656,3 @@ class TestComputeClassWeights:
         records = [make_record("a", "x", ["ta"])]
         with pytest.raises(DataError, match="tb"):
             compute_class_weights(records, TagVocabulary(["ta", "tb"]))
-
-
-class TestWeightedKlLoss:
-    def test_unit_weights_reduce_to_plain_kl(self):
-        true = constant(np.array([0.5, 0.25, 0.25]))
-        pred = constant(np.array([0.4, 0.35, 0.25]))
-        cw = ClassWeights(n_examples=3, tag_counts=(1, 1, 1))
-        npt.assert_allclose(weighted_kl_loss(true, pred, cw).data,
-                            kl_divergence(true, pred).data, rtol=1e-12)
-
-    def test_matches_explicit_weight_vector(self):
-        true = constant(np.array([0.5, 0.25, 0.25]))
-        pred = constant(np.array([0.4, 0.35, 0.25]))
-        cw = ClassWeights(n_examples=12, tag_counts=(2, 3, 6))
-        npt.assert_allclose(weighted_kl_loss(true, pred, cw).data,
-                            kl_divergence(true, pred, weights=cw.weights).data, rtol=1e-15)

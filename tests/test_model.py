@@ -6,10 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tagflow.autodiff import Tensor
+from tagflow.autodiff import Tensor, constant, gradcheck, kl_divergence
 from tagflow.corpus import Vocabulary
 from tagflow.errors import ConfigError, DataError
-from tagflow.layers import Embedding
+from tagflow.layers import ClassWeights, Embedding
 from tagflow.model import (
     CLASS_WEIGHTED_VARIANTS,
     VARIANTS,
@@ -230,6 +230,23 @@ class TestForward:
         b = model.forward(tokens, flow=flow, train_mode=True,
                           dropout_rng=np.random.default_rng(7)).data
         npt.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["cnn", "cnn_fe"])
+    def test_gradcheck_of_every_coordinate(self, variant):
+        """Every parameter coordinate of a reduced float64 model, through the
+        class-weighted KL, on left-padded tokens that repeat within a conv
+        window (5 _ 5) and across windows (the bigrams 5 3 and 7 2)."""
+        config = small_config(variant=variant, vocab_size=8, seq_len=14, embed_dim=3, filters_per_size=3,
+                              n_segments=3, lstm_units=2, dense_sizes=(5, 4), n_tags=4, dropout=0.0)
+        model = build_model(config, dtype=np.float64)
+        tokens = np.array([0, 0, 0, 0, 5, 3, 5, 3, 7, 2, 7, 2, 5, 1])
+        rng = np.random.default_rng(3)
+        flow = 100.0 * rng.random((config.n_segments, 10)) if config.uses_flow else None
+        target = constant(rng.dirichlet(np.ones(config.n_tags)))
+        weights = ClassWeights(n_examples=10, tag_counts=(1, 2, 3, 4)).weights
+        params = list(model.parameters().values())
+        gradcheck(lambda: kl_divergence(target, model.forward(tokens, flow), weights=weights), params,
+                  samples=max(p.data.size for p in params))
 
 
 class TestPredictTopK:
