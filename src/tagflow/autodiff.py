@@ -474,13 +474,17 @@ def dropout(x, p, rng):
 # losses
 # ---------------------------------------------------------------------------
 
-def kl_divergence(true_dist, pred_dist, weights=None, eps=1e-8):
+#: Floor that ``kl_divergence`` clamps each predicted probability to before the log.
+KL_EPS = 1e-8
+
+
+def kl_divergence(true_dist, pred_dist, weights=None):
     """KL(true || pred) with optional per-component weights, as one tape node.
 
     ``sum_t w_t * true_t * log(true_t / pred_t)`` with ``0 * log 0 == 0`` and
-    predictions clamped to at least ``eps`` before the log.  Differentiable
+    predictions clamped to at least ``KL_EPS`` before the log.  Differentiable
     with respect to ``pred_dist``; ``true_dist`` is treated as a constant.
-    A component with ``pred_t <= eps`` sits on the clamp and gets exactly
+    A component with ``pred_t <= KL_EPS`` sits on the clamp and gets exactly
     zero gradient.
     """
     t = true_dist.data if isinstance(true_dist, Tensor) else np.asarray(true_dist)
@@ -497,12 +501,12 @@ def kl_divergence(true_dist, pred_dist, weights=None, eps=1e-8):
     wt = (w * t).astype(p.dtype)
     support = t > 0
     const_term = float((wt[support] * np.log(t[support])).sum())
-    clamped = np.maximum(p, eps)
+    clamped = np.maximum(p, KL_EPS)
     out_data = np.asarray(const_term, dtype=p.dtype) - np.asarray((wt * np.log(clamped)).sum())
 
     def bwd(g):
         if pred.requires_grad:
-            _grad_buffer(pred)[...] += ((-g * wt) / clamped) * (p > eps)
+            _grad_buffer(pred)[...] += ((-g * wt) / clamped) * (p > KL_EPS)
 
     return _make(out_data, (pred,), bwd)
 

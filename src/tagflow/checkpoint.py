@@ -112,11 +112,8 @@ def _check_widths(path, config, vocab, tag_vocab, class_weights):
             raise DataError(f"{path}: checkpoint '{key}' covers {n} tags, but n_tags is {config.n_tags}")
 
 
-def load_checkpoint(path, dtype=np.float32):
-    """Rebuild a model whose forward outputs match the saved one bit-for-bit.
-
-    (Bit-identity holds at float32, the storage precision; pass
-    ``dtype=np.float64`` to upcast the stored values.)
+def load_checkpoint(path):
+    """Rebuild a float32 model whose forward outputs match the saved one bit-for-bit.
 
     Nothing is drawn: the model starts with unfilled parameters, and every
     name, shape and size in the manifest is checked against them and against
@@ -148,7 +145,7 @@ def load_checkpoint(path, dtype=np.float32):
         stored = meta["config"]
         try:
             config = ModelConfig.from_dict(stored)
-            model = TagModel._unfilled(config, dtype)
+            model = TagModel._unfilled(config)
         except (ConfigError, TypeError, ValueError) as e:
             if not set(stored) <= set(ModelConfig.__dataclass_fields__):
                 raise ConfigError(f"{path}: {e}") from None  # unknown keys stay config errors
@@ -177,7 +174,7 @@ def load_checkpoint(path, dtype=np.float32):
             raw = np.empty(entry["shape"], dtype="<f4")
             if f.readinto(raw) != raw.nbytes:  # the file shrank since it was measured
                 raise DataError(f"{path}: truncated checkpoint (array '{entry['name']}' incomplete)")
-            params[entry["name"]].data = raw if raw.dtype == dtype else raw.astype(dtype)
+            params[entry["name"]].data = raw.astype(np.float32, copy=False)  # a no-op on little-endian hosts
 
     if vocab is not None:
         model.vocab = Vocabulary(vocab)

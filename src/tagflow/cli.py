@@ -22,6 +22,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
+    EncodedExample,
     Split,
     TagVocabulary,
     _encode_text,
@@ -29,6 +30,7 @@ from .corpus import (
     encode_records,
     load_corpus,
     load_stopwords,
+    make_target,
     validation_split,
 )
 # Not called here (_encode_text tokenizes once for both views), but kept
@@ -156,6 +158,7 @@ def _read_input_texts(args):
         return [("input-1", args.text)]
     if getattr(args, "input", None):
         pairs = []
+        first_line = {}
         with open_text(args.input) as f:
             for i, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
@@ -163,9 +166,13 @@ def _read_input_texts(args):
                     continue
                 if "\t" in line:
                     movie_id, _, text = line.partition("\t")
-                    pairs.append((movie_id, text))
                 else:
-                    pairs.append((f"input-{i}", line))
+                    movie_id, text = f"input-{i}", line
+                if movie_id in first_line:
+                    raise DataError(f"{args.input}: line {i}: movie id '{movie_id}' "
+                                    f"repeats line {first_line[movie_id]}")
+                first_line[movie_id] = i
+                pairs.append((movie_id, text))
         if not pairs:
             raise DataError(f"{args.input}: no input texts found")
         return pairs
@@ -214,10 +221,14 @@ def _load_prediction_file(path):
                 rank = int(rank)
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: rank '{parts[1]}' is not an integer") from None
-            by_movie.setdefault(movie_id, []).append((rank, tag))
+            ranked = by_movie.setdefault(movie_id, {})
+            if rank in ranked or tag in ranked.values():
+                what = f"rank {rank}" if rank in ranked else f"tag '{tag}'"
+                raise DataError(f"{path}: line {lineno}: movie '{movie_id}' repeats {what}")
+            ranked[rank] = tag
     if not by_movie:
         raise DataError(f"{path}: no prediction records found")
-    return {movie: [tag for _, tag in sorted(entries)] for movie, entries in by_movie.items()}
+    return {movie: [ranked[rank] for rank in sorted(ranked)] for movie, ranked in by_movie.items()}
 
 
 def _model_inputs(model, text, stopwords, lexicon):
@@ -244,10 +255,6 @@ def _load_model(args):
     path = _require(getattr(args, "checkpoint", None), "--checkpoint", "to load a model")
     with _stage("checkpoint"):
         model = load_checkpoint(path)
-    if getattr(args, "variant", None) and args.variant != model.config.variant:
-        raise ConfigError(
-            f"checkpoint holds variant '{model.config.variant}', not '{args.variant}'"
-        )
     if model.vocab is None or model.tag_vocab is None:
         raise DataError(f"{path}: checkpoint lacks vocabularies; cannot encode inputs")
     return model
@@ -359,16 +366,18 @@ def cmd_evaluate(args):
     _, test_records = _read_corpus(corpus_path, need=(Split.TEST,))
     with _stage("corpus"):
         truths = {r.movie_id: set(r.tags) for r in test_records}
-        examples = encode_records(
-            test_records, model.vocab, model.tag_vocab, load_stopwords(),
-            lexicon=lexicon, max_len=model.config.seq_len, n_segments=model.config.n_segments,
-        )
+        stopwords = load_stopwords()
+        inputs = [_model_inputs(model, r.synopsis, stopwords, lexicon) for r in test_records]
 
     with _stage("evaluate"):
         prob_rows = {}
-        for example in examples:
-            prob_rows[example.movie_id] = _probabilities(model, example.movie_id, example.tokens, example.flow)
-        mean_kl = evaluate_loss(model, examples)
+        for r, (tokens, flow) in zip(test_records, inputs):
+            prob_rows[r.movie_id] = _probabilities(model, r.movie_id, tokens, flow)
+        # the KL needs a target, so movies with no training tag are ranked and scored but not in it
+        scored = [EncodedExample(r.movie_id, tokens, make_target(r.tags, model.tag_vocab), flow, r.tags)
+                  for r, (tokens, flow) in zip(test_records, inputs)
+                  if any(tag in model.tag_vocab for tag in r.tags)]
+        mean_kl = evaluate_loss(model, scored) if scored else None
         for k in ks:
             preds = {
                 movie: predict_top_k(probs, k, model.tag_vocab)
@@ -391,6 +400,8 @@ def cmd_baselines(args):
     corpus_path = _require(args.corpus, "--corpus", "to compute baselines")
     ks = _parse_k_list(args.k)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     train_records, test_records = _read_corpus(corpus_path, need=(Split.TRAIN, Split.TEST))
     tag_vocab = TagVocabulary.from_records(train_records)
     _check_ks(ks, len(tag_vocab))
@@ -476,10 +487,6 @@ def _add_common(command, *flags):
         command.add_argument("--lexicon", help="word-emotion association file")
     if "checkpoint" in flags:
         command.add_argument("--checkpoint", help="model checkpoint path")
-    if "variant" in flags:
-        command.add_argument("--variant", help="model variant", choices=VARIANTS)
-    if "k" in flags:
-        command.add_argument("--k", default=None, help="top-k cutoff (or comma list)")
     if "seed" in flags:
         command.add_argument("--seed", type=int, default=None, help="random seed")
     if "out" in flags:
@@ -494,21 +501,25 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     p = commands.add_parser("train", help="train a model and write a checkpoint")
-    _add_common(p, "config", "corpus", "lexicon", "variant", "seed", "out")
+    _add_common(p, "config", "corpus", "lexicon", "seed", "out")
+    p.add_argument("--variant", help="model variant", choices=VARIANTS)
     p.add_argument("--embeddings", help="pretrained word-vector text file")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("predict", help="rank tags for new synopses")
-    _add_common(p, "checkpoint", "lexicon", "variant", "k", "out", "input")
-    p.set_defaults(func=cmd_predict, k_default="5")
+    _add_common(p, "checkpoint", "lexicon", "out", "input")
+    p.add_argument("--k", default="5", help="top-k cutoff")
+    p.set_defaults(func=cmd_predict)
 
     p = commands.add_parser("evaluate", help="score a checkpoint on the test split")
-    _add_common(p, "checkpoint", "corpus", "lexicon", "variant", "k", "out")
-    p.set_defaults(func=cmd_evaluate, k_default="3,5,10")
+    _add_common(p, "checkpoint", "corpus", "lexicon", "out")
+    p.add_argument("--k", default="3,5,10", help="top-k cutoffs, comma-separated")
+    p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("baselines", help="most-frequent and random baselines")
-    _add_common(p, "corpus", "k", "seed", "out")
-    p.set_defaults(func=cmd_baselines, k_default="3,5,10")
+    _add_common(p, "corpus", "seed", "out")
+    p.add_argument("--k", default="3,5,10", help="top-k cutoffs, comma-separated")
+    p.set_defaults(func=cmd_baselines)
 
     p = commands.add_parser("compare", help="contrast two prediction files")
     p.add_argument("preds_a", help="first prediction file (tsv)")
@@ -531,8 +542,6 @@ def main(argv=None):
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return 1
-        if hasattr(args, "k") and args.k is None:
-            args.k = getattr(args, "k_default", "5")
         return args.func(args) or 0
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,8 +23,13 @@ from .errors import DataError, open_text
 PAD_INDEX = 0
 OOV_INDEX = 1
 
+#: What ``Vocabulary.decode`` writes for an out-of-vocabulary index.
+OOV_MARKER = "<oov>"
+
 MAX_VOCAB_WORDS = 5000
 SEQUENCE_LENGTH = 1500
+#: Share of the training records that ``validation_split`` holds out.
+VALIDATION_FRACTION = 0.2
 
 
 class Split(enum.Enum):
@@ -153,23 +158,21 @@ class Vocabulary:
     def index(self, word):
         return self._index.get(word, OOV_INDEX)
 
-    def decode(self, sequence, oov_marker="<oov>"):
+    def decode(self, sequence):
         """Tokens for the non-padding entries of an encoded sequence."""
         out = []
         for i in sequence:
             i = int(i)
             if i == PAD_INDEX:
                 continue
-            out.append(oov_marker if i == OOV_INDEX else self.words[i - 2])
+            out.append(OOV_MARKER if i == OOV_INDEX else self.words[i - 2])
         return out
 
 
-def build_vocabulary(train_records, max_words=MAX_VOCAB_WORDS, stopwords=None):
+def build_vocabulary(train_records, max_words=MAX_VOCAB_WORDS, *, stopwords):
     """Top ``max_words`` preprocessed tokens by per-token frequency."""
     if not train_records:
         raise DataError("cannot build a vocabulary from zero records")
-    if stopwords is None:
-        stopwords = load_stopwords()
     counts = Counter()
     for r in train_records:
         counts.update(preprocess(r.synopsis, stopwords))
@@ -238,14 +241,11 @@ def encode_synopsis(tokens, vocab, max_len=SEQUENCE_LENGTH):
     return seq
 
 
-def validation_split(train_records, fraction=0.2, seed=None):
-    """Disjoint, exhaustive random partition; validation size floors."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
-    if seed is None:
-        raise ValueError("validation_split requires a seed")
+def validation_split(train_records, seed):
+    """Disjoint, exhaustive random partition; ``VALIDATION_FRACTION`` of the
+    records, rounded down, go to validation."""
     n = len(train_records)
-    n_val = int(n * fraction)
+    n_val = int(n * VALIDATION_FRACTION)
     perm = np.random.default_rng(seed).permutation(n)
     val_idx = set(perm[:n_val].tolist())
     train_part = [r for i, r in enumerate(train_records) if i not in val_idx]

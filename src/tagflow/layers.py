@@ -40,12 +40,10 @@ from .corpus import PAD_INDEX
 from .errors import DataError
 
 
-def glorot_uniform(rng, fan_in, fan_out, shape=None):
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(rng, fan_in, fan_out):
+    """A (fan_in, fan_out) matrix uniform in +-sqrt(6 / (fan_in + fan_out))."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def _unfilled(shape, dtype):

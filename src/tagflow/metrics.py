@@ -111,25 +111,23 @@ def evaluate_predictions(preds, truths, tag_vocab, k, metadata=None):
     )
 
 
-def most_frequent_tags(train_records, tag_vocab, k):
-    """The k most frequent training tags; frequency ties break lexicographically."""
+def _check_k(k, tag_vocab):
     if not 1 <= k <= len(tag_vocab):
         raise ValueError(f"k must be in [1, {len(tag_vocab)}], got {k}")
-    counts = dict(zip(tag_vocab.tags, tag_vocab.counts(train_records)))
-    ranked = sorted(tag_vocab.tags, key=lambda t: (-counts[t], t))
-    return ranked[:k]
 
 
 def baseline_most_frequent(train_records, tag_vocab, k, movie_ids):
-    """Constant predictor: every movie gets the k most frequent tags."""
-    top = most_frequent_tags(train_records, tag_vocab, k)
+    """Constant predictor: every movie gets the k most frequent training tags,
+    frequency ties broken lexicographically."""
+    _check_k(k, tag_vocab)
+    counts = dict(zip(tag_vocab.tags, tag_vocab.counts(train_records)))
+    top = sorted(tag_vocab.tags, key=lambda t: (-counts[t], t))[:k]
     return {movie: list(top) for movie in movie_ids}
 
 
 def baseline_random(tag_vocab, movie_ids, k, seed):
     """k distinct uniformly random tags per movie, deterministic per seed."""
-    if not 1 <= k <= len(tag_vocab):
-        raise ValueError(f"k must be in [1, {len(tag_vocab)}], got {k}")
+    _check_k(k, tag_vocab)
     rng = np.random.default_rng(seed)
     tags = tag_vocab.tags
     return {

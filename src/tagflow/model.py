@@ -129,15 +129,15 @@ class TagModel:
         self._assemble(config, dtype, np.random.default_rng(config.seed))
 
     @classmethod
-    def _unfilled(cls, config, dtype=np.float32):
-        """The model with every parameter an unfilled stand-in of its shape.
+    def _unfilled(cls, config):
+        """The float32 model with every parameter an unfilled stand-in of its shape.
 
         Nothing is drawn and nothing in proportion to the parameter count is
         allocated, so ``load_checkpoint`` can check a file's manifest against
         ``parameters()`` before it reads any array into place.
         """
         model = cls.__new__(cls)
-        model._assemble(config, dtype, None)
+        model._assemble(config, np.float32, None)
         return model
 
     def _assemble(self, config, dtype, rng):

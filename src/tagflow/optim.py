@@ -2,8 +2,8 @@
 
 Update rule, applied elementwise per parameter:
 
-    v <- rho * v + (1 - rho) * g^2
-    p <- p - lr * g / (sqrt(v) + eps)
+    v <- RHO * v + (1 - RHO) * g^2
+    p <- p - lr * g / (sqrt(v) + EPS)
 """
 
 from __future__ import annotations
@@ -11,6 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
+
+#: Decay of the running average of squared gradients.
+RHO = 0.9
+#: Added to the root of that average before it divides the gradient.
+EPS = 1e-8
 
 #: Elements per block of ``RmsProp.step``: each block runs the whole update
 #: through two scratch buffers of this length, which stay in cache.
@@ -29,11 +34,9 @@ class RmsProp:
     and gives the same bits as the rule applied to whole arrays.
     """
 
-    def __init__(self, params, lr=1e-4, rho=0.9, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.params = dict(params)
         self.lr = float(lr)
-        self.rho = float(rho)
-        self.eps = float(eps)
         self.square_avg = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in self.params.items()}
         self._scratch = {}
 
@@ -58,14 +61,14 @@ class RmsProp:
             for lo in range(0, x.size, BLOCK):
                 xb, vb, gb = x[lo:lo + BLOCK], v[lo:lo + BLOCK], g[lo:lo + BLOCK]
                 t, u = a[:xb.size], b[:xb.size]
-                # v <- rho * v + (1 - rho) * g * g
-                vb *= self.rho
-                np.multiply(gb, 1.0 - self.rho, out=t)
+                # v <- RHO * v + (1 - RHO) * g * g
+                vb *= RHO
+                np.multiply(gb, 1.0 - RHO, out=t)
                 t *= gb
                 vb += t
-                # p <- p - lr * g / (sqrt(v) + eps)
+                # p <- p - lr * g / (sqrt(v) + EPS)
                 np.sqrt(vb, out=t)
-                t += self.eps
+                t += EPS
                 np.multiply(gb, self.lr, out=u)
                 u /= t
                 xb -= u

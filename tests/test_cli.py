@@ -9,9 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import GOLDEN_SYNOPSIS, write_corpus_csv
+from helpers import GOLDEN_SYNOPSIS, brute_force_micro_f1, make_record, write_corpus_csv
+from tagflow.autodiff import kl_divergence
 from tagflow.checkpoint import load_checkpoint, save_checkpoint
 from tagflow.cli import main
+from tagflow.corpus import Split, encode_records, load_corpus, load_stopwords
+from tagflow.emotion import load_lexicon
 from tagflow.metrics import MetricsReport
 from tagflow.model import MAX_INPUT_ROWS
 
@@ -330,11 +333,18 @@ class TestPredict:
                        "--k", "2", "--text", "x"])
         assert status == 2
 
-    def test_variant_mismatch_detected(self, workspace, capsys):
+    def test_repeated_movie_id_exits_2_naming_both_lines(self, workspace, tmp_path, capsys):
+        batch = tmp_path / "batch.tsv"
+        batch.write_text("movieA\tthe killer strikes again\n"
+                         "movieB\ta love story\n"
+                         "\n"
+                         "movieA\tghosts in the manor\n", encoding="utf-8")
+        out = tmp_path / "preds.tsv"
         status = main(["predict", "--checkpoint", workspace.fe_ckpt, "--lexicon", workspace.lexicon,
-                       "--variant", "cnn", "--k", "2", "--text", "x"])
-        assert status == 1
-        assert "cnn_fe" in capsys.readouterr().err
+                       "--k", "2", "--input", str(batch), "--out", str(out)])
+        assert status == 2
+        assert f"error: [predict] {batch}: line 4: movie id 'movieA' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_prediction_exits_3_naming_the_movie(self, workspace, nan_checkpoint, tmp_path, capsys):
         batch = tmp_path / "batch.tsv"
@@ -366,6 +376,60 @@ class TestEvaluate:
             pred_lines = (out / f"predictions_k{k}.tsv").read_text(encoding="utf-8").splitlines()
             assert len(pred_lines) == 3 * k
             assert {line.split("\t")[0] for line in pred_lines} == {"x1", "x2", "x3"}
+
+    @staticmethod
+    def _evaluate(workspace, corpus, out):
+        status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", str(corpus),
+                       "--lexicon", workspace.lexicon, "--k", "1,2", "--out", str(out)])
+        assert status == 0
+        return {k: MetricsReport.from_json((out / f"metrics_k{k}.json").read_text(encoding="utf-8"))
+                for k in (1, 2)}
+
+    def test_movie_without_a_training_tag_is_ranked_and_scored_but_not_in_the_kl(
+            self, workspace, toy_corpus_records, tmp_path, capsys):
+        western = make_record("x4", "a lone rider crosses the desert town", ["western"], split=Split.TEST)
+        corpus = write_corpus_csv(tmp_path / "corpus.csv", [*toy_corpus_records, western])
+        reports = self._evaluate(workspace, corpus, tmp_path / "eval")
+        known = self._evaluate(workspace, workspace.corpus, tmp_path / "known")
+        truths = {r.movie_id: set(r.tags) for r in [*toy_corpus_records, western] if r.split is Split.TEST}
+        for k in (1, 2):
+            assert reports[k].metadata["n_movies"] == 4
+            assert reports[k].metadata["mean_kl"] == known[k].metadata["mean_kl"]
+            lines = (tmp_path / "eval" / f"predictions_k{k}.tsv").read_text(encoding="utf-8").splitlines()
+            known_lines = (tmp_path / "known" / f"predictions_k{k}.tsv").read_text(encoding="utf-8").splitlines()
+            assert lines[:3 * k] == known_lines and [line.split("\t")[0] for line in lines[3 * k:]] == ["x4"] * k
+            preds = {}
+            for line in lines:
+                preds.setdefault(line.split("\t")[0], []).append(line.split("\t")[2])
+            # 'western' counts as a miss in micro-F1 and is skipped by the per-tag recall
+            assert reports[k].micro_f1 == pytest.approx(brute_force_micro_f1(preds, truths))
+            assert reports[k].per_tag_recall == known[k].per_tag_recall
+
+    def test_mean_kl_is_null_when_no_test_movie_has_a_training_tag(self, workspace, toy_corpus_records,
+                                                                  tmp_path, capsys):
+        train = [r for r in toy_corpus_records if r.split is Split.TRAIN]
+        unseen = [make_record("x1", "a lone rider crosses the desert town", ["western"], split=Split.TEST)]
+        corpus = write_corpus_csv(tmp_path / "corpus.csv", train + unseen)
+        reports = self._evaluate(workspace, corpus, tmp_path / "eval")
+        assert all(r.metadata["mean_kl"] is None and r.micro_f1 == 0.0 for r in reports.values())
+        assert '"mean_kl": null' in (tmp_path / "eval" / "metrics_k1.json").read_text(encoding="utf-8")
+
+    def test_mean_kl_is_the_unweighted_kl_of_each_forward_bit_for_bit(self, workspace, tmp_path, capsys):
+        reports = self._evaluate(workspace, workspace.corpus, tmp_path / "eval")
+        model = load_checkpoint(workspace.fe_ckpt)
+        assert model.class_weights is not None  # a class-weighted variant, yet the reported KL is unweighted
+        test_records = [r for r in load_corpus(workspace.corpus) if r.split is Split.TEST]
+        examples = encode_records(test_records, model.vocab, model.tag_vocab, load_stopwords(),
+                                  lexicon=load_lexicon(workspace.lexicon), max_len=model.config.seq_len,
+                                  n_segments=model.config.n_segments)
+        total = weighted = 0.0
+        for ex in examples:
+            probs = model.forward(ex.tokens, ex.flow)
+            total += float(kl_divergence(ex.target, probs).data)
+            weighted += float(kl_divergence(ex.target, probs, weights=model.class_weights.weights).data)
+        for report in reports.values():
+            assert report.metadata["mean_kl"] == total / len(examples)
+            assert report.metadata["mean_kl"] != weighted / len(examples)
 
     def test_oversized_k_fails_cleanly(self, workspace, capsys):
         status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", workspace.corpus,
@@ -420,6 +484,10 @@ class TestBaselines:
     def test_works_without_out_dir(self, workspace, capsys):
         assert main(["baselines", "--corpus", workspace.corpus, "--k", "1"]) == 0
 
+    def test_negative_seed_exits_1_naming_the_flag_and_the_value(self, workspace, capsys):
+        assert main(["baselines", "--corpus", workspace.corpus, "--k", "1", "--seed", "-3"]) == 1
+        assert "error: --seed must be >= 0, got -3" in capsys.readouterr().err
+
     def test_oversized_k_in_a_list_fails_before_writing_anything(self, workspace, tmp_path, capsys):
         out = tmp_path / "base"
         out.mkdir()
@@ -466,6 +534,18 @@ class TestCompare:
         status = main(["compare", str(prediction_file), str(bad), "--corpus", workspace.corpus])
         assert status == 2
         assert "line 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("second, repeated", [("x1\t1\tromantic\t0.3", "rank 1"),
+                                                  ("x1\t2\tmurder\t0.3", "tag 'murder'")],
+                             ids=["rank", "tag"])
+    def test_repeated_rank_or_tag_within_a_movie_exits_2_naming_the_line(
+            self, workspace, prediction_file, second, repeated, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"x2\t1\tromantic\t0.6\nx1\t1\tmurder\t0.5\n{second}\n", encoding="utf-8")
+        status = main(["compare", str(prediction_file), str(bad), "--corpus", workspace.corpus])
+        assert status == 2
+        assert f"error: [predictions] {bad}: line 3: movie 'x1' repeats {repeated}" in capsys.readouterr().err
 
 
 class TestEmotionFlowCommand:

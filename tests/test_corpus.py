@@ -288,7 +288,7 @@ class TestTagVocabulary:
 class TestValidationSplit:
     def test_ten_records_split_eight_two(self):
         records = list(range(10))
-        train, val = validation_split(records, fraction=0.2, seed=1)
+        train, val = validation_split(records, seed=1)
         assert len(train) == 8 and len(val) == 2
 
     def test_same_seed_reproduces_partition(self):
@@ -305,16 +305,12 @@ class TestValidationSplit:
 
     def test_full_scale_sizes_floor_validation(self):
         records = list(range(11862))
-        train, val = validation_split(records, fraction=0.2, seed=0)
+        train, val = validation_split(records, seed=0)
         assert (len(train), len(val)) == (9490, 2372)
 
     def test_seed_is_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             validation_split(list(range(10)))
-
-    def test_fraction_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            validation_split(list(range(10)), fraction=1.0, seed=0)
 
 
 class TestEncodeRecords:

@@ -47,12 +47,6 @@ class TestGlorotUniform:
         assert (np.abs(w) <= limit).all()
         assert np.abs(w).max() > 0.9 * limit  # actually spans the range
 
-    def test_shape_override_keeps_fan_based_limit(self):
-        rng = np.random.default_rng(0)
-        w = glorot_uniform(rng, 4, 4, shape=(2, 8))
-        assert w.shape == (2, 8)
-        assert (np.abs(w) <= math.sqrt(6.0 / 8)).all()
-
     def test_same_seed_same_draw(self):
         a = glorot_uniform(np.random.default_rng(7), 10, 10)
         b = glorot_uniform(np.random.default_rng(7), 10, 10)

@@ -23,7 +23,6 @@ from tagflow.metrics import (
     evaluate_predictions,
     expected_random_micro_f1,
     micro_f1,
-    most_frequent_tags,
     prediction_overlap,
     recall_delta,
     tag_in_text_rate,
@@ -155,12 +154,12 @@ class TestMostFrequentBaseline:
 
     def test_ranked_by_count(self, records):
         tv = TagVocabulary(["a", "b", "c"])
-        assert most_frequent_tags(records, tv, 2) == ["b", "c"]
+        assert baseline_most_frequent(records, tv, 2, ["m1"]) == {"m1": ["b", "c"]}
 
     def test_count_ties_break_lexicographically(self):
         records = [make_record("m1", "x", ["zeta", "echo"]), make_record("m2", "x", ["zeta", "echo"])]
         tv = TagVocabulary(["echo", "zeta", "alto"])
-        assert most_frequent_tags(records, tv, 3) == ["echo", "zeta", "alto"]
+        assert baseline_most_frequent(records, tv, 3, ["m1"]) == {"m1": ["echo", "zeta", "alto"]}
 
     def test_every_movie_gets_the_same_list(self, records):
         tv = TagVocabulary(["a", "b", "c"])
@@ -171,9 +170,9 @@ class TestMostFrequentBaseline:
     def test_k_bounds(self, records):
         tv = TagVocabulary(["a", "b", "c"])
         with pytest.raises(ValueError):
-            most_frequent_tags(records, tv, 0)
+            baseline_most_frequent(records, tv, 0, ["m1"])
         with pytest.raises(ValueError):
-            most_frequent_tags(records, tv, 4)
+            baseline_most_frequent(records, tv, 4, ["m1"])
 
 
 class TestRandomBaseline:

@@ -8,7 +8,7 @@ import pytest
 
 from tagflow.autodiff import Tensor
 from tagflow.errors import NumericError
-from tagflow.optim import BLOCK, RmsProp
+from tagflow.optim import BLOCK, EPS, RHO, RmsProp
 
 
 def _param(value):
@@ -26,7 +26,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
 def test_single_step_hand_calculation():
     # v0=0, rho=0.9, g=1, lr=1e-4, eps=1e-8: v=0.1, delta = -1e-4/(sqrt(0.1)+1e-8)
     p = _param([0.0])
-    opt = RmsProp({"p": p}, lr=1e-4, rho=0.9, eps=1e-8)
+    opt = RmsProp({"p": p}, lr=1e-4)
     p._grad = np.array([1.0])
     opt.step()
     expected = -1e-4 / (np.sqrt(0.1) + 1e-8)
@@ -36,7 +36,7 @@ def test_single_step_hand_calculation():
 
 def test_two_steps_follow_the_running_average_recurrence():
     p = _param([0.0])
-    opt = RmsProp({"p": p}, lr=1e-2, rho=0.9, eps=1e-8)
+    opt = RmsProp({"p": p}, lr=1e-2)
     v = 0.0
     x = 0.0
     for g in (1.0, -2.0):
@@ -105,12 +105,12 @@ def test_blocked_step_is_bit_identical_to_the_whole_array_rule(shape, dtype):
     rng = np.random.default_rng(11)
     p = Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
     data, square_avg = p.data.copy(), np.zeros(shape, dtype)
-    opt = RmsProp({"p": p}, lr=1e-3, rho=0.9, eps=1e-8)
+    opt = RmsProp({"p": p}, lr=1e-3)
     for _ in range(3):
         g = rng.standard_normal(shape).astype(dtype)
         p._grad = g
         opt.step()
-        _whole_array_step(data, square_avg, g, 1e-3, 0.9, 1e-8)
+        _whole_array_step(data, square_avg, g, 1e-3, RHO, EPS)
     assert p.data.dtype == dtype
     npt.assert_array_equal(p.data, data)
     npt.assert_array_equal(opt.square_avg["p"], square_avg)
