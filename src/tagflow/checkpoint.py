@@ -41,7 +41,7 @@ def save_checkpoint(model, path):
     params = model.parameters()
     manifest = [{"name": name, "shape": list(t.data.shape)} for name, t in params.items()]
     meta = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "vocab": model.vocab.words if model.vocab is not None else None,
         "tag_vocab": model.tag_vocab.tags if model.tag_vocab is not None else None,
         "class_weights": asdict(model.class_weights) if model.class_weights is not None else None,

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,28 +111,30 @@ def _apply_set_overrides(doc, assignments):
 
 
 def _resolve_run_config(args):
-    doc = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    _apply_set_overrides(doc, getattr(args, "set", None))
+    """The run's configuration, and the model keys that the file or ``--set`` gave."""
+    doc = _load_config_file(args.config) if args.config else {}
+    _apply_set_overrides(doc, args.set)
     check_keys(doc, RunConfig, "config")
     for key in ("model", "train"):
         if not isinstance(doc.get(key, {}), dict):
             raise ConfigError(f"config key '{key}' must be an object, got {doc[key]!r}")
-    paths = {key: getattr(args, key, None) or doc.get(key) for key in ("corpus", "lexicon", "embeddings", "out")}
+    paths = {key: getattr(args, key) or doc.get(key) for key in ("corpus", "lexicon", "embeddings", "out")}
     for key, path in paths.items():
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"config key '{key}' must be a path string, got {path!r}")
     model_doc = dict(doc.get("model", {}))
+    given = set(model_doc)
     train_doc = dict(doc.get("train", {}))
-    if getattr(args, "variant", None):
+    if args.variant:
         model_doc["variant"] = args.variant
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         model_doc["seed"] = args.seed
         train_doc["seed"] = args.seed
     with _stage("model"):
         model_config = ModelConfig.from_dict(model_doc)
     with _stage("train"):
         train_config = TrainConfig.from_dict(train_doc)
-    return RunConfig(model=model_config, train=train_config, **paths)
+    return RunConfig(model=model_config, train=train_config, **paths), given
 
 
 def _parse_k_list(text):
@@ -142,6 +144,9 @@ def _parse_k_list(text):
         raise ConfigError(f"--k expects integers, got '{text}'") from None
     if not ks or any(k < 1 for k in ks):
         raise ConfigError(f"--k expects positive integers, got '{text}'")
+    for i, k in enumerate(ks):
+        if k in ks[:i]:
+            raise ConfigError(f"--k repeats {k} in '{text}'")
     return ks
 
 
@@ -154,9 +159,9 @@ def _check_ks(ks, n_tags):
 
 def _read_input_texts(args):
     """(movie_id, text) pairs from --text or --input (TSV id<TAB>text or raw lines)."""
-    if getattr(args, "text", None) is not None:
+    if args.text is not None:
         return [("input-1", args.text)]
-    if getattr(args, "input", None):
+    if args.input:
         pairs = []
         first_line = {}
         with open_text(args.input) as f:
@@ -252,7 +257,7 @@ def _require(value, flag, why):
 
 
 def _load_model(args):
-    path = _require(getattr(args, "checkpoint", None), "--checkpoint", "to load a model")
+    path = _require(args.checkpoint, "--checkpoint", "to load a model")
     with _stage("checkpoint"):
         model = load_checkpoint(path)
     if model.vocab is None or model.tag_vocab is None:
@@ -289,7 +294,7 @@ def _read_lexicon(path, config=None):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
-    run = _resolve_run_config(args)
+    run, given = _resolve_run_config(args)
     if run.model.lr != ModelConfig.lr:
         print(f"warning: model.lr={run.model.lr!r} is ignored; train.lr sets RMSprop's learning rate",
               file=sys.stderr)
@@ -304,8 +309,10 @@ def cmd_train(args):
         stopwords = load_stopwords()
         vocab = build_vocabulary(train_records, max_words=run.model.vocab_size, stopwords=stopwords)
         tag_vocab = TagVocabulary.from_records(train_records)
-    run.model.n_tags, run.model.vocab_size = len(tag_vocab), vocab.size
-    run.model.validate()
+    if "n_tags" in given and run.model.n_tags != len(tag_vocab):
+        raise ConfigError(f"model.n_tags is {run.model.n_tags}, but the training split "
+                          f"of {corpus_path} has {len(tag_vocab)} tags")
+    run.model = replace(run.model, n_tags=len(tag_vocab), vocab_size=vocab.size)
 
     with _stage("encode"):
         examples = encode_records(
@@ -399,9 +406,8 @@ def cmd_evaluate(args):
 def cmd_baselines(args):
     corpus_path = _require(args.corpus, "--corpus", "to compute baselines")
     ks = _parse_k_list(args.k)
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     train_records, test_records = _read_corpus(corpus_path, need=(Split.TRAIN, Split.TEST))
     tag_vocab = TagVocabulary.from_records(train_records)
     _check_ks(ks, len(tag_vocab))
@@ -410,11 +416,11 @@ def cmd_baselines(args):
 
     for k in ks:
         frequent = baseline_most_frequent(train_records, tag_vocab, k, movie_ids)
-        random_preds = baseline_random(tag_vocab, movie_ids, k, seed)
+        random_preds = baseline_random(tag_vocab, movie_ids, k, args.seed)
         for name, preds in (("most_frequent", frequent), ("random", random_preds)):
             report = evaluate_predictions(
                 preds, truths, tag_vocab, k,
-                metadata={"baseline": name, "seed": seed if name == "random" else None,
+                metadata={"baseline": name, "seed": args.seed if name == "random" else None,
                           "n_movies": len(preds)},
             )
             _write_report(report, args.out, f"{name}_k{k}", label=f"{name:>14}  ")
@@ -487,8 +493,6 @@ def _add_common(command, *flags):
         command.add_argument("--lexicon", help="word-emotion association file")
     if "checkpoint" in flags:
         command.add_argument("--checkpoint", help="model checkpoint path")
-    if "seed" in flags:
-        command.add_argument("--seed", type=int, default=None, help="random seed")
     if "out" in flags:
         command.add_argument("--out", help="output file or directory")
     if "input" in flags:
@@ -501,7 +505,8 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     p = commands.add_parser("train", help="train a model and write a checkpoint")
-    _add_common(p, "config", "corpus", "lexicon", "seed", "out")
+    _add_common(p, "config", "corpus", "lexicon", "out")
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--variant", help="model variant", choices=VARIANTS)
     p.add_argument("--embeddings", help="pretrained word-vector text file")
     p.set_defaults(func=cmd_train)
@@ -517,7 +522,8 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("baselines", help="most-frequent and random baselines")
-    _add_common(p, "corpus", "seed", "out")
+    _add_common(p, "corpus", "out")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--k", default="3,5,10", help="top-k cutoffs, comma-separated")
     p.set_defaults(func=cmd_baselines)
 
@@ -539,10 +545,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             parser.print_help(sys.stderr)
             return 1
-        return args.func(args) or 0
+        # every value that reaches an output is checked for finiteness (exit 3),
+        # so a numpy floating-point warning would only print a line of source
+        with np.errstate(all="ignore"):
+            return args.func(args) or 0
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -52,13 +51,9 @@ class SynopsisRecord:
     source: str = ""
 
 
-def load_stopwords(path=None):
-    """Stopword set from a one-word-per-line UTF-8 file (packaged default)."""
-    if path is None:
-        text = resources.files("tagflow").joinpath("data/stopwords.txt").read_text("utf-8")
-    else:
-        with open_text(path) as f:
-            text = f.read()
+def load_stopwords():
+    """The packaged stopword set, read from its one-word-per-line UTF-8 file."""
+    text = resources.files("tagflow").joinpath("data/stopwords.txt").read_text("utf-8")
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
 
@@ -217,11 +212,12 @@ class TagVocabulary:
 
 
 def make_target(tags, tag_vocab):
-    """Uniform distribution over the record's known tags."""
+    """Uniform distribution over the record's known tags.
+
+    Tags absent from ``tag_vocab`` are dropped without a warning; a record
+    with no known tag at all raises ``DataError``.
+    """
     known = [t for t in tags if t in tag_vocab]
-    dropped = set(tags) - set(known)
-    if dropped:
-        warnings.warn(f"dropping tags absent from the tag vocabulary: {sorted(dropped)}")
     if not known:
         raise DataError(f"no known tags among {sorted(tags)}")
     target = np.zeros(len(tag_vocab), dtype=np.float64)

@@ -18,7 +18,7 @@ a softmax output layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ CLASS_WEIGHTED_VARIANTS = ("cnn_cw", "cnn_fe", "cnn_fe_pretrained")
 MAX_INPUT_ROWS = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     variant: str = "cnn_fe"
     vocab_size: int = 5000
@@ -64,13 +64,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.filter_sizes, list):
-            self.filter_sizes = tuple(self.filter_sizes)
-        if isinstance(self.dense_sizes, list):
-            self.dense_sizes = tuple(self.dense_sizes)
-        self.validate()
-
-    def validate(self):
+        for name in ("filter_sizes", "dense_sizes"):
+            if isinstance(getattr(self, name), list):  # as JSON gives them
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}'; choose from {', '.join(VARIANTS)}")
         positive = ("vocab_size", "seq_len", "embed_dim", "filters_per_size", "n_segments",
@@ -107,9 +103,6 @@ class ModelConfig:
     @property
     def uses_class_weights(self):
         return self.variant in CLASS_WEIGHTED_VARIANTS
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -190,15 +183,14 @@ class TagModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, tokens, flow=None, train_mode=False, dropout_rng=None):
+    def forward(self, tokens, flow=None, dropout_rng=None):
         """Probability vector over tags for one encoded example.
 
         ``tokens`` is the fixed-length index sequence; ``flow`` is the
         (n_segments, 10) emotion matrix, required exactly when the variant
         has the emotion branch (flow-less variants refuse one outright, so
-        their output cannot depend on it).  ``train_mode`` switches on
-        dropout after each hidden dense layer and then requires
-        ``dropout_rng``.
+        their output cannot depend on it).  Dropout follows each hidden
+        dense layer exactly when ``dropout_rng`` is given.
         """
         if self.config.uses_flow:
             if flow is None:
@@ -209,8 +201,6 @@ class TagModel:
                 raise ValueError(f"emotion flow shape {flow.shape} != {expected}")
         elif flow is not None:
             raise ValueError(f"variant '{self.config.variant}' does not take an emotion flow input")
-        if train_mode and self.config.dropout > 0.0 and dropout_rng is None:
-            raise ValueError("train_mode forward requires a dropout rng")
 
         tokens = np.asarray(tokens)
         embedded = self.embedding.lookup(tokens)
@@ -223,7 +213,7 @@ class TagModel:
         x = reshape(concat(features, axis=-1), (1, -1))
         for layer in self.dense:
             x = layer.forward(x)
-            if train_mode:
+            if dropout_rng is not None:
                 x = dropout(x, self.config.dropout, dropout_rng)
         logits = self.dense_out.forward(x)
         return reshape(softmax_last_axis(logits), (-1,))
@@ -231,7 +221,6 @@ class TagModel:
 
 def build_model(config, dtype=np.float32):
     """Construct a model with freshly initialized parameters (seeded)."""
-    config.validate()
     return TagModel(config, dtype=dtype)
 
 

@@ -25,7 +25,7 @@ MAX_EPOCHS = 100
 PATIENCE = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = BATCH_SIZE
     max_epochs: int = MAX_EPOCHS
@@ -34,9 +34,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         check_types(self, ints=("batch_size", "max_epochs", "patience", "seed"), numbers=("lr",))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -50,9 +47,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -90,9 +84,9 @@ class TrainHistory:
                 f.write(json.dumps(asdict(stats)) + "\n")
 
 
-def _example_loss(model, example, weights, train_mode=False, dropout_rng=None):
+def _example_loss(model, example, weights, dropout_rng=None):
     flow = example.flow if model.config.uses_flow else None
-    probs = model.forward(example.tokens, flow, train_mode=train_mode, dropout_rng=dropout_rng)
+    probs = model.forward(example.tokens, flow, dropout_rng=dropout_rng)
     return kl_divergence(example.target, probs, weights=weights)
 
 
@@ -129,7 +123,6 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
     """
     if not train_examples or not val_examples:
         raise ValueError("train requires non-empty train and validation sets")
-    config.validate()
     if not model.config.uses_class_weights:
         class_weights = None
     else:
@@ -165,7 +158,7 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
                 example = train_examples[int(example_idx)]
                 rng = np.random.default_rng([config.seed, epoch, int(example_idx)])
                 with Tape():
-                    loss = _example_loss(model, example, weight_vec, train_mode=True, dropout_rng=rng)
+                    loss = _example_loss(model, example, weight_vec, dropout_rng=rng)
                     scaled = loss * scale
                 value = float(loss.data)
                 if not np.isfinite(value):

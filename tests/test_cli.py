@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,6 +32,18 @@ TINY_DIMS = [
     "--set", "train.patience=1",
     "--set", "train.batch_size=4",
 ]
+
+
+def main_without_warnings(argv):
+    """``main(argv)``'s exit status; the run must emit no Python warning.
+
+    pytest captures warnings, so a test reading stderr alone would not see one.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(argv)
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+    return status
 
 
 @pytest.fixture(scope="session")
@@ -177,6 +190,41 @@ class TestTrain:
         assert "non-finite validation loss at epoch 1" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m" / "model.ckpt").exists()
+
+    def test_overflowing_step_prints_only_the_error_line(self, toy_corpus_path, tmp_path, capsys):
+        status = main_without_warnings([
+            "train", "--corpus", str(toy_corpus_path), "--out", str(tmp_path / "m"), "--variant", "cnn",
+            *TINY_DIMS, "--set", "train.lr=1e38", "--set", "train.batch_size=32",
+            "--set", "train.max_epochs=1", "--set", "train.patience=0"])
+        assert status == 3
+        assert capsys.readouterr().err == "error: [train] non-finite validation loss at epoch 1\n"
+
+    @pytest.mark.parametrize("via", ["set", "file"])
+    def test_configured_n_tags_other_than_the_tag_count_exits_1_writing_nothing(
+            self, via, toy_corpus_path, tmp_path, capsys):
+        if via == "set":
+            given = ["--set", "model.n_tags=3"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"model": {"n_tags": 3}}), encoding="utf-8")
+            given = ["--config", str(config)]
+        out = tmp_path / "m"
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(out),
+                       "--variant", "cnn", *TINY_DIMS, *given])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "error: model.n_tags is 3, but the training split" in err and "has 4 tags" in err
+        assert not out.exists()
+
+    def test_written_config_reruns_to_the_same_checkpoint(self, workspace, tmp_path, capsys):
+        # config.json records n_tags as the tag count, which a rerun accepts
+        out = tmp_path / "rerun"
+        status = main(["train", "--config", str(workspace.fe_dir / "config.json"), "--out", str(out)])
+        assert status == 0
+        assert (out / "model.ckpt").read_bytes() == Path(workspace.fe_ckpt).read_bytes()
+        first, again = (json.loads((d / "config.json").read_text(encoding="utf-8"))
+                        for d in (workspace.fe_dir, out))
+        assert {**again, "out": None} == {**first, "out": None}
 
     @pytest.mark.parametrize("assignment,named", [
         ("model.dropout=x", "[model] dropout"),
@@ -431,6 +479,25 @@ class TestEvaluate:
             assert report.metadata["mean_kl"] == total / len(examples)
             assert report.metadata["mean_kl"] != weighted / len(examples)
 
+    def test_movie_with_an_unseen_tag_emits_no_warning(self, workspace, toy_corpus_records, tmp_path,
+                                                        capsys):
+        western = make_record("x4", "a lone rider crosses the desert town", ["murder", "western"],
+                              split=Split.TEST)
+        corpus = write_corpus_csv(tmp_path / "corpus.csv", [*toy_corpus_records, western])
+        status = main_without_warnings(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", str(corpus),
+                                        "--lexicon", workspace.lexicon, "--k", "1"])
+        assert status == 0
+        assert capsys.readouterr().err == ""
+
+    def test_repeated_k_exits_1_before_writing_anything(self, workspace, tmp_path, capsys):
+        out = tmp_path / "eval"
+        status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", workspace.corpus,
+                       "--lexicon", workspace.lexicon, "--k", "3,1,3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err == "error: --k repeats 3 in '3,1,3'\n"
+        assert captured.out == "" and not out.exists()
+
     def test_oversized_k_fails_cleanly(self, workspace, capsys):
         status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", workspace.corpus,
                        "--lexicon", workspace.lexicon, "--k", "9"])
@@ -487,6 +554,14 @@ class TestBaselines:
     def test_negative_seed_exits_1_naming_the_flag_and_the_value(self, workspace, capsys):
         assert main(["baselines", "--corpus", workspace.corpus, "--k", "1", "--seed", "-3"]) == 1
         assert "error: --seed must be >= 0, got -3" in capsys.readouterr().err
+
+    def test_repeated_k_exits_1_before_writing_anything(self, workspace, tmp_path, capsys):
+        out = tmp_path / "base"
+        status = main(["baselines", "--corpus", workspace.corpus, "--k", "2,2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err == "error: --k repeats 2 in '2,2'\n"
+        assert captured.out == "" and not out.exists()
 
     def test_oversized_k_in_a_list_fails_before_writing_anything(self, workspace, tmp_path, capsys):
         out = tmp_path / "base"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import FrozenInstanceError, asdict, replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -70,9 +73,23 @@ class TestModelConfig:
 
     def test_round_trip_through_dict(self):
         config = small_config(dropout=0.25, seed=9)
-        clone = ModelConfig.from_dict(config.to_dict())
+        clone = ModelConfig.from_dict(json.loads(json.dumps(asdict(config))))  # as a checkpoint stores it
         assert clone == config
-        assert isinstance(clone.filter_sizes, tuple)
+        assert isinstance(clone.filter_sizes, tuple) and isinstance(clone.dense_sizes, tuple)
+
+    def test_fields_cannot_be_assigned(self):
+        config = small_config()
+        with pytest.raises(FrozenInstanceError):
+            config.n_tags = 3
+        assert config.n_tags == 5
+
+    def test_replace_checks_the_new_values(self):
+        config = small_config()
+        assert replace(config, n_tags=9).n_tags == 9
+        with pytest.raises(ConfigError, match="n_tags"):
+            replace(config, n_tags=0)
+        with pytest.raises(ConfigError, match="seq_len"):
+            replace(config, seq_len=2)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="momentum"):
@@ -198,37 +215,20 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             model.forward(tokens, flow=np.zeros((3, 10)))
 
-    def test_train_mode_requires_rng_only_with_active_dropout(self):
-        config = small_config()
-        model = build_model(config)
-        tokens, flow = random_inputs(config)
-        with pytest.raises(ValueError, match="rng"):
-            model.forward(tokens, flow=flow, train_mode=True)
-        out = model.forward(tokens, flow=flow, train_mode=True,
-                            dropout_rng=np.random.default_rng(0))
-        assert abs(out.data.sum() - 1.0) < 1e-6
-
-        no_drop = build_model(small_config(dropout=0.0))
-        out = no_drop.forward(tokens, flow=flow, train_mode=True)
-        npt.assert_array_equal(out.data, no_drop.forward(tokens, flow=flow).data)
-
     def test_dropout_perturbs_training_forward(self):
         config = small_config()
         model = build_model(config)
         tokens, flow = random_inputs(config)
         eval_out = model.forward(tokens, flow=flow).data
-        train_out = model.forward(tokens, flow=flow, train_mode=True,
-                                  dropout_rng=np.random.default_rng(1)).data
+        train_out = model.forward(tokens, flow=flow, dropout_rng=np.random.default_rng(1)).data
         assert not np.array_equal(eval_out, train_out)
 
     def test_same_dropout_seed_reproduces_training_forward(self):
         config = small_config()
         model = build_model(config)
         tokens, flow = random_inputs(config)
-        a = model.forward(tokens, flow=flow, train_mode=True,
-                          dropout_rng=np.random.default_rng(7)).data.copy()
-        b = model.forward(tokens, flow=flow, train_mode=True,
-                          dropout_rng=np.random.default_rng(7)).data
+        a = model.forward(tokens, flow=flow, dropout_rng=np.random.default_rng(7)).data.copy()
+        b = model.forward(tokens, flow=flow, dropout_rng=np.random.default_rng(7)).data
         npt.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("variant", ["cnn", "cnn_fe"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -202,7 +203,7 @@ class TestOptimizationEffect:
 
 class TestFailureModes:
     def test_non_finite_loss_names_epoch_and_batch(self, monkeypatch):
-        def poisoned(model, example, weights, train_mode=False, dropout_rng=None):
+        def poisoned(model, example, weights, dropout_rng=None):
             return Tensor(np.float64("nan"))
 
         monkeypatch.setattr(training, "_example_loss", poisoned)
@@ -395,4 +396,16 @@ class TestHistoryAndConfig:
 
     def test_dict_round_trip(self):
         config = quick_train_config(lr=5e-4, patience=0)
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        assert TrainConfig.from_dict(asdict(config)) == config
+
+    def test_fields_cannot_be_assigned(self):
+        config = quick_train_config()
+        with pytest.raises(FrozenInstanceError):
+            config.lr = 1.0
+        assert config.lr == 1e-3
+
+    def test_replace_checks_the_new_values(self):
+        config = quick_train_config()
+        assert replace(config, patience=0).patience == 0
+        with pytest.raises(ConfigError, match="patience"):
+            replace(config, patience=config.max_epochs)
