@@ -169,6 +169,10 @@ def _unbroadcast(g, shape):
 #: Rows of ``b``'s gradient per block of a one-row ``matmul``'s backward.
 OUTER_ROWS = 256
 
+#: Bytes of rows that the window max and the row scatter take at a time, so
+#: that a block stays in cache through every pass over it.
+BLOCK_BYTES = 1 << 18
+
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -300,36 +304,59 @@ def windows(x, c):
     return _make(window_matrix(x.data, c), (x,), bwd)
 
 
-def window_scores(distinct, w):
-    """``window_matrix(data, c) @ w`` for a (T, E) array, from its distinct rows.
+def window_max(distinct, w, winners):
+    """Each column's max of ``window_matrix(data, c) @ w``, and where it first occurs.
 
-    ``distinct`` is ``(rows, inverse)`` with ``rows[inverse]`` equal to
-    ``data``, ``w`` is (c * E, F) and the result (T - c + 1, F).  Each row is
-    projected once by each of w's c row blocks, ``proj = rows @ w.reshape(c,
-    E, F)``, and window t sums ``proj[0, inverse[t]] + ... + proj[c - 1,
-    inverse[t + c - 1]]``.  That is U c E F multiply-adds for U distinct rows
-    plus c row gathers, where the window GEMM takes (T - c + 1) c E F, and
-    two windows with the same rows score bit-identically.
+    ``distinct`` is ``(rows, inverse)`` for a (T, E) array ``data``, with
+    ``rows[inverse]`` equal to ``data``, and ``w`` is (c * E, F).  Returns
+    ``(best, winner)``: ``best`` (F,) is the max over the T - c + 1 windows
+    and ``winner`` (F,) each filter's first window to reach it, or None
+    unless ``winners``.
+
+    Each distinct row is projected once by each of w's c row blocks,
+    ``proj = rows @ w.reshape(c, E, F)``, and window t sums ``proj[0,
+    inverse[t]] + ... + proj[c - 1, inverse[t + c - 1]]``.  That is U c E F
+    multiply-adds for U distinct rows plus c row gathers, where the window
+    GEMM takes (T - c + 1) c E F, and two windows with the same rows score
+    the same bits.  The windows are scored ``BLOCK_BYTES`` of scores at a
+    time, in one reused buffer that stays in cache through the block's c
+    gathers, its column max and its winner search; no (T - c + 1, F) score
+    matrix is ever built.
+
+    A float max is exact in any order, so the running max equals the max of
+    the whole score matrix bit for bit, NaN included.  A filter's winner
+    moves only to a block whose max strictly beats every earlier block's,
+    and there to the block's first window that reaches it, so it is the
+    first maximising window.  A filter with a NaN score keeps whatever
+    winner it had; its output is NaN, whose masked gradient never reads it.
     """
     rows, inverse = distinct
     dim = rows.shape[1]
     width, n_filters = w.shape[0] // dim, w.shape[1]
     n_windows = inverse.shape[0] - width + 1
     proj = rows @ w.reshape(width, dim, n_filters)
-    scores = np.empty((n_windows, n_filters), dtype=proj.dtype)
-    # Summed in blocks of ~256 KiB of windows, so that a block stays in cache
-    # through its c gathers.  Every index is in range, so mode="clip" changes
-    # nothing but lets take write straight into its out buffer.
-    step = max(1, (1 << 18) // (n_filters * proj.itemsize))
-    gathered = np.empty((min(step, n_windows), n_filters), dtype=proj.dtype)
+    best = np.full(n_filters, -np.inf, dtype=proj.dtype)
+    winner = np.zeros(n_filters, dtype=np.intp) if winners else None
+    # Every index is in range, so mode="clip" changes nothing but lets take
+    # write straight into its out buffer.
+    step = max(1, BLOCK_BYTES // (n_filters * proj.itemsize))
+    scores = np.empty((min(step, n_windows), n_filters), dtype=proj.dtype)
+    gathered = np.empty_like(scores)
+    block_max = np.empty_like(best)
     for t in range(0, n_windows, step):
-        block = scores[t:t + step]
+        block = scores[:min(step, n_windows - t)]
         part = gathered[:len(block)]
         proj[0].take(inverse[t:t + len(block)], axis=0, out=block, mode="clip")
         for j in range(1, width):
             proj[j].take(inverse[t + j:t + j + len(block)], axis=0, out=part, mode="clip")
             block += part
-    return scores
+        block.max(axis=0, out=block_max)
+        if winners:
+            rose = np.flatnonzero(block_max > best)
+            if rose.size:
+                winner[rose] = t + (block[:, rose] == block_max[rose]).argmax(axis=0)
+        np.maximum(best, block_max, out=best)
+    return best, winner
 
 
 def window_max_pool(xw, w, b, distinct):
@@ -337,12 +364,12 @@ def window_max_pool(xw, w, b, distinct):
 
     ``xw`` is the (n, c * E) window matrix of a (T, E) sequence (see
     ``windows``), ``distinct`` that sequence's ``(rows, inverse)``, ``w``
-    (c * E, F) and ``b`` (1, F); the result is (F,).  The scores ``xw @ w``
-    come from the distinct rows (see ``window_scores``), so equal windows
-    score the same bits.  Bias and relu go on after the max, once per
-    filter: both are monotone, and so is float rounding, so
-    ``max_t relu(a_t + b) == relu(max_t a_t + b)`` exactly.  A NaN score
-    makes its filter's output NaN.
+    (c * E, F) and ``b`` (1, F); the result is (F,).  The max of ``xw @ w``
+    and its first maximising windows come from the distinct rows in one
+    pass (see ``window_max``), so equal windows score the same bits.  Bias
+    and relu go on after the max, once per filter: both are monotone, and
+    so is float rounding, so ``max_t relu(a_t + b) == relu(max_t a_t + b)``
+    exactly.  A NaN score makes its filter's output NaN.
 
     The backward is argmax-sparse.  Filter f's gradient reaches only its
     first maximising window t_f: ``dw[:, f] += xw[t_f] g_f``,
@@ -357,19 +384,12 @@ def window_max_pool(xw, w, b, distinct):
             or inverse.shape[0] - xw.data.shape[1] // rows.shape[1] + 1 != xw.data.shape[0]):
         raise ValueError(f"window_max_pool shape mismatch: {xw.data.shape} x {w.data.shape} + {b.data.shape}, "
                          f"{rows.shape[-1]}-wide rows of a {inverse.shape[0]}-row sequence")
-    scores = window_scores(distinct, w.data)
-    best = scores.max(axis=0)
-    # Each filter's first maximising window, read off the row-major hits (a
-    # column argmax on a C-order array copies it first).  A NaN column has no
-    # hit and keeps window 0, which its masked gradient never uses.  Only the
-    # backward reads the winners, so a tape-free call skips them.
+    # Only the backward reads the winners, so a tape-free call skips them.
+    taped = recording(xw, w, b)
+    best, winner = window_max(distinct, w.data, taped)
     out_data = np.maximum(best + b.data[0], 0)
-    if not recording(xw, w, b):
+    if not taped:
         return _make(out_data, (xw, w, b), None)
-    hits = np.flatnonzero(scores == best)
-    filters, first = np.unique(hits % n_filters, return_index=True)
-    winner = np.zeros(n_filters, dtype=np.intp)
-    winner[filters] = hits[first] // n_filters
 
     def bwd(g):
         g = np.where(out_data > 0, g, 0)
@@ -391,24 +411,56 @@ def window_max_pool(xw, w, b, distinct):
     return _make(out_data, (xw, w, b), bwd)
 
 
+#: Occurrences up to which ``_scatter_add_rows`` adds an index's rows in rounds.
+SCATTER_ROUNDS = 4
+
+
 def _scatter_add_rows(buf, idx, rows):
     """``buf[idx[i]] += rows[i]`` for every i in turn, repeated indices included.
 
-    A fancy ``+=`` keeps only one of the rows that share an index, so the
-    rows go in rounds: round k adds each index's k-th row, and no index
-    repeats within a round.  Every row of ``buf`` receives its terms in
-    order of i, the sums ``np.add.at`` forms, several times faster.
+    ``idx`` is non-negative and ``rows`` has ``buf``'s dtype.  Rows of
+    fewer than ``BLOCK_BYTES`` in all go through ``np.add.at``, whose
+    per-row loop is the faster one at that size.  For more, a fancy
+    ``+=`` keeps only one of the rows that share an index, so the rows of
+    an index seen at most ``SCATTER_ROUNDS`` times go in rounds: round k
+    adds each such index's k-th row, ``BLOCK_BYTES`` of rows at a time,
+    and no index repeats within a round.  The indices seen more often go
+    a batch at a time, one batch per power of two their counts reach:
+    their rows are stacked by occurrence, padded with -0.0 (``x + -0.0``
+    is x, bit for bit) to the batch's largest count, and added onto their
+    buffer rows one occurrence after another.  Every row of ``buf`` thus
+    receives its terms in order of i, the sums ``np.add.at`` forms,
+    several times faster.
     """
+    if rows.nbytes < BLOCK_BYTES:
+        np.add.at(buf, idx, rows)
+        return
     order = np.argsort(idx, kind="stable")
     ranked = idx[order]
     first = np.ones(idx.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
-    position = np.arange(idx.size)
-    occurrence = np.empty_like(position)
-    occurrence[order] = position - np.maximum.accumulate(np.where(first, position, 0))
-    for k in range(occurrence.max(initial=-1) + 1):
-        chosen = occurrence == k
-        buf[idx[chosen]] += rows[chosen]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=idx.size)
+    rounds = counts <= SCATTER_ROUNDS
+    step = max(1, BLOCK_BYTES // rows[0].nbytes)
+    for k in range(min(counts.max(), SCATTER_ROUNDS)):
+        chosen = order[starts[rounds & (counts > k)] + k]
+        for lo in range(0, chosen.size, step):
+            block = chosen[lo:lo + step]
+            buf[idx[block]] += rows[block]
+    heavy = np.flatnonzero(~rounds)
+    size = np.frexp(counts[heavy])[1]
+    for s in np.unique(size):
+        batch = heavy[size == s]
+        k = np.arange(counts[batch].max())[:, None]
+        taken = k < counts[batch]
+        terms = np.full(taken.shape + buf.shape[1:], -0.0, dtype=buf.dtype)
+        terms[taken] = rows[order[(starts[batch] + k)[taken]]]
+        heads = ranked[starts[batch]]
+        total = buf[heads]
+        for term in terms:
+            total += term
+        buf[heads] = total
 
 
 def sum_(x, axis=None):
@@ -447,7 +499,7 @@ def embedding_gather(table, idx):
 
     def bwd(g):
         if table.requires_grad:
-            np.add.at(_grad_buffer(table), idx, g)
+            _scatter_add_rows(_grad_buffer(table), idx, g)
 
     return _make(out_data, (table,), bwd)
 

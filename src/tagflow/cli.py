@@ -332,13 +332,14 @@ def cmd_train(args):
             coverage = load_pretrained_embeddings(run.embeddings, vocab, model.embedding)
             print(f"pretrained embedding coverage: {coverage:.1%}")
 
-    _write_or_print(json.dumps(asdict(run), indent=2) + "\n", out_dir / "config.json")
-
     with _stage("train"):
-        model, history = train(model, train_examples, val_examples, run.train,
-                               log_path=out_dir / "history.jsonl")
+        model, history = train(model, train_examples, val_examples, run.train)
 
+    # Nothing reaches out_dir before training succeeds, so a failed run
+    # leaves an earlier run's files there as they were.
     with _stage("checkpoint"):
+        _write_or_print(json.dumps(asdict(run), indent=2) + "\n", out_dir / "config.json")
+        history.write_log(out_dir / "history.jsonl")
         save_checkpoint(model, out_dir / "model.ckpt")
     best = history.epochs[history.best_epoch - 1]
     print(f"trained {len(history.epochs)} epochs; best epoch {history.best_epoch} "

@@ -138,7 +138,9 @@ def conv_bank_forward(embedded, bank, *, tokens):
     projections.  Per width that is U * c * embed_dim * n_filters
     multiply-adds for U distinct tokens plus c row gathers, where a GEMM of
     the (T - c + 1, c * embed_dim) window matrix would take
-    (T - c + 1) * c * embed_dim * n_filters.
+    (T - c + 1) * c * embed_dim * n_filters.  The windows are scored a
+    cache-sized block at a time, keeping only each filter's running max
+    and first winner (see ``autodiff.window_max``).
 
     Sequences are left-padded with ``PAD_INDEX``.  When no tape records, the
     rows before the last ``max(filter_sizes)`` leading pad tokens are

@@ -247,7 +247,9 @@ def load_pretrained_embeddings(path, vocab, embedding):
     preceded by a ``count dim`` header.  In-vocabulary words replace their
     rows; everything else (including the padding and unknown-word rows)
     keeps its current value.  Returns the fraction of vocabulary words
-    found.
+    found.  An in-vocabulary vector with a non-numeric or non-finite
+    component (``nan``, ``inf``, or beyond float32's range) raises
+    ``DataError`` naming its line.
     """
     dim = embedding.dim
     replaced = set()
@@ -267,9 +269,13 @@ def load_pretrained_embeddings(path, vocab, embedding):
             if idx in (PAD_INDEX, OOV_INDEX):
                 continue
             try:
-                embedding.table.data[idx] = [float(v) for v in values]
+                # a component beyond float32's range is stored as inf, rejected below
+                with np.errstate(over="ignore"):
+                    embedding.table.data[idx] = [float(v) for v in values]
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric vector component") from None
+            if not np.isfinite(embedding.table.data[idx]).all():
+                raise DataError(f"{path}: line {lineno}: non-finite vector component")
             replaced.add(idx)
     embedding.reset_padding_row()
     return len(replaced) / vocab.size if vocab.size else 0.0

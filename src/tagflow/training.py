@@ -101,7 +101,7 @@ def evaluate_loss(model, examples, class_weights=None):
     return total / len(examples)
 
 
-def train(model, train_examples, val_examples, config, class_weights=None, log_path=None):
+def train(model, train_examples, val_examples, config, class_weights=None):
     """Optimize the model; return it with its best-validation-epoch weights.
 
     Each epoch shuffles the training set, steps RMSprop once per batch on
@@ -194,6 +194,4 @@ def train(model, train_examples, val_examples, config, class_weights=None, log_p
     if best_state is not None:
         for name, tensor in params.items():
             tensor.data = best_state[name]
-    if log_path is not None:
-        history.write_log(log_path)
     return model, history

@@ -8,6 +8,7 @@ constructed away from their kinks so the numeric oracle is valid.
 from __future__ import annotations
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,8 @@ from tagflow.autodiff import (
     sum_,
     tanh,
     window_matrix,
+    window_max,
     window_max_pool,
-    window_scores,
     windows,
 )
 
@@ -338,6 +339,37 @@ def _by_token(table, tokens):
     return x, (x[first], inverse)
 
 
+def _first_maxima(x, c, w):
+    """The float64 oracle for ``window_max``: each column's max of ``window_matrix(x, c) @ w`` and its first window.
+
+    Windows with the same rows score the same bits in ``window_max``, but
+    the GEMM may round them apart, so a window within 1e-12 of the max
+    counts as reaching it.
+    """
+    scores = window_matrix(np.asarray(x, dtype=np.float64), c) @ np.asarray(w, dtype=np.float64)
+    best = scores.max(axis=0)
+    return best, (scores >= best - 1e-12).argmax(axis=0)
+
+
+def _peaks(n_tokens, width, where, dtype):
+    """Tokens, table and 1024-filter w where window t of token p + 1 peaks for each t in ``where[p]``.
+
+    The tokens are 0 except for a run of ``width`` tokens p + 1 at each
+    such t.  Token p + 1's row is (p + 1) * 5 and every weight is
+    positive, so a window of its rows outscores every window with fewer
+    of them or with lower tokens.  1024 filters make blocks of 32
+    (float64) or 64 (float32) windows.
+    """
+    rng = np.random.default_rng(width)
+    table = np.vstack([rng.uniform(-0.1, 0.1, size=(1, 3))] + [np.full((1, 3), 5.0 * (p + 1)) for p in range(len(where))])
+    tokens = np.zeros(n_tokens, dtype=np.intp)
+    for p, starts in enumerate(where):
+        for t in starts:
+            tokens[t:t + width] = p + 1
+    w = rng.uniform(0.5, 1.0, size=(width * 3, 1024))
+    return tokens, table.astype(dtype), w.astype(dtype)
+
+
 class TestWindowScores:
     @pytest.mark.parametrize("rows", ["repeated", "distinct", "padding"])
     @pytest.mark.parametrize("c", [1, 2, 5])
@@ -346,9 +378,28 @@ class TestWindowScores:
         tokens = {"repeated": rng.integers(0, 3, size=150), "distinct": np.arange(150),
                   "padding": np.zeros(150, dtype=np.intp)}[rows]
         x, distinct = _by_token(rng.standard_normal((150, 6)) if rows != "padding" else np.zeros((1, 6)), tokens)
-        w = rng.standard_normal((c * 6, 2048))  # 16 windows to a block of scores
+        w = rng.standard_normal((c * 6, 1024))  # 32 windows to a block
         assert distinct[0].shape[0] == {"repeated": 3, "distinct": 150, "padding": 1}[rows]
-        npt.assert_allclose(window_scores(distinct, w), window_matrix(x, c) @ w, rtol=0, atol=1e-12)
+        best, winner = window_max(distinct, w, True)
+        expected_best, expected_winner = _first_maxima(x, c, w)
+        npt.assert_allclose(best, expected_best, rtol=0, atol=1e-12)
+        npt.assert_array_equal(winner, expected_winner)
+        untaped_best, untaped_winner = window_max(distinct, w, False)
+        assert untaped_best.tobytes() == best.tobytes() and untaped_winner is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("where,first", [
+        ([[10, 140]], 10),  # in different blocks at either block size
+        ([[10, 20]], 10),  # in the same block
+        ([[1400]], 1400),  # first reached in the last block
+        ([[0], [300], [1000, 1200]], 1000),  # risen in three blocks
+    ])
+    def test_ties_go_to_the_first_maximising_window(self, dtype, where, first):
+        tokens, table, w = _peaks(1500, 3, where, dtype)
+        best, winner = window_max(_by_token(table, tokens)[1], w, True)
+        assert best.dtype == dtype
+        npt.assert_array_equal(winner, first)
+        npt.assert_allclose(best, _first_maxima(table[tokens], 3, w)[0], rtol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_windows_with_the_same_rows_score_the_same_bits(self, dtype):
@@ -356,10 +407,67 @@ class TestWindowScores:
         table = rng.standard_normal((4, 5)).astype(dtype)
         tokens = rng.integers(0, 4, size=200)
         tokens[141:144] = tokens[7:10]
-        # 1024 filters: 32 or 64 windows to a block, so 7 and 141 are in different blocks
-        scores = window_scores(_by_token(table, tokens)[1], rng.standard_normal((15, 1024)).astype(dtype))
-        assert scores.dtype == dtype
-        npt.assert_array_equal(scores[141], scores[7])
+        w = rng.standard_normal((15, 1024)).astype(dtype)
+        x, distinct = _by_token(table, tokens)
+        # 32 or 64 windows to a block, so 7 and 141 are in different blocks;
+        # where they share the max, a later window rounded higher would win
+        shared = np.flatnonzero(_first_maxima(x, 3, w)[1] == 7)
+        assert shared.size > 0
+        npt.assert_array_equal(window_max(distinct, w, True)[1][shared], 7)
+
+    def test_nan_score_makes_only_its_own_filter_nan(self):
+        rng = np.random.default_rng(32)
+        x, distinct = _by_token(rng.standard_normal((20, 4)), rng.integers(0, 20, size=300))
+        w = rng.standard_normal((8, 1024))
+        w[5, 7] = np.nan
+        best, winner = window_max(distinct, w, True)
+        expected_best, expected_winner = _first_maxima(x, 2, w)
+        assert np.isnan(best[7]) and not np.isnan(np.delete(best, 7)).any()
+        npt.assert_allclose(np.delete(best, 7), np.delete(expected_best, 7), rtol=0, atol=1e-12)
+        npt.assert_array_equal(np.delete(winner, 7), np.delete(expected_winner, 7))
+
+    def test_tape_free_pool_builds_no_score_matrix(self):
+        rng = np.random.default_rng(33)
+        tokens = rng.integers(0, 50, size=600)
+        x, distinct = _by_token(rng.standard_normal((50, 16)).astype(np.float32), tokens)
+        xw = windows(constant(x), 3)
+        w, b = constant(rng.standard_normal((48, 1024)), dtype=np.float32), constant(np.zeros((1, 1024)))
+        score_matrix = xw.data.shape[0] * 1024 * 4
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = window_max_pool(xw, w, b, distinct)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(out.data, np.maximum(window_max(distinct, w.data, False)[0], 0))
+        assert peak < score_matrix, f"peak {peak} B, score matrix {score_matrix} B"
+
+
+class TestScatterAddRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    # rows of 8 and of 300 columns, below and above BLOCK_BYTES in all for the larger cases
+    @pytest.mark.parametrize("dim", [8, 300])
+    def test_adds_the_bits_np_add_at_adds(self, dtype, seed, dim):
+        rng = np.random.default_rng(seed)
+        n_rows = 60
+        cases = [
+            rng.integers(0, n_rows, size=400),  # counts from 0 to ~15
+            np.minimum(rng.zipf(1.3, size=500), n_rows) - 1,  # one index hundreds of times
+            np.r_[np.zeros(300, dtype=np.intp), rng.permutation(n_rows)],  # a padding run
+            rng.permutation(n_rows)[:30],  # every index once
+            np.repeat(np.arange(30), np.arange(30)),  # every count to 29, each in one run
+            np.zeros(0, dtype=np.intp),
+        ]
+        for idx in cases:
+            rows = rng.standard_normal((idx.size, dim)).astype(dtype)
+            rows[rng.random(rows.shape) < 0.05] = -0.0
+            for start in (np.zeros((n_rows, dim), dtype=dtype), rng.standard_normal((n_rows, dim)).astype(dtype)):
+                expected, buf = start.copy(), start.copy()
+                np.add.at(expected, idx, rows)
+                autodiff._scatter_add_rows(buf, idx, rows)
+                assert buf.tobytes() == expected.tobytes()
 
 
 class TestDropout:

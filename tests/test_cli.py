@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -189,7 +190,31 @@ class TestTrain:
         assert status == 3
         assert "non-finite validation loss at epoch 1" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "m" / "model.ckpt").exists()
+        assert not (tmp_path / "m").exists()
+
+    def test_failed_rerun_leaves_the_earlier_run_as_it_was(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(workspace.fe_dir, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["config.json", "history.jsonl", "model.ckpt"]
+        # one batch per epoch, and a step this large overflows the float32 weights
+        status = main(["train", "--config", str(out / "config.json"), "--out", str(out), "--set", "train.lr=1e38",
+                       "--set", "train.batch_size=32", "--set", "train.max_epochs=1", "--set", "train.patience=0"])
+        assert status == 3
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_embedding_exits_2_naming_the_line(self, value, toy_corpus_path, synthetic_lexicon_path,
+                                                         tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"killer 0.1 0.2 0.3 0.4 0.5\ndetective 0.1 {value} 0.3 0.4 0.5\n", encoding="utf-8")
+        out = tmp_path / "m"
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(out),
+                       "--variant", "cnn_fe_pretrained", "--lexicon", str(synthetic_lexicon_path),
+                       "--embeddings", str(vectors), *TINY_DIMS])
+        assert status == 2
+        assert capsys.readouterr().err == f"error: [model] {vectors}: line 2: non-finite vector component\n"
+        assert not out.exists()
 
     def test_overflowing_step_prints_only_the_error_line(self, toy_corpus_path, tmp_path, capsys):
         status = main_without_warnings([

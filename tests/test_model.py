@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -322,6 +323,14 @@ class TestPretrainedEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("alpha 1 two 3\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 1"):
+            load_pretrained_embeddings(path, vocab, emb)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_component_reports_line(self, value, tmp_path):
+        vocab, emb = self.setup_pair()
+        path = tmp_path / "vec.txt"
+        path.write_text(f"alpha 1 2 3\nbeta 4 {value} 6\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: non-finite vector component$"):
             load_pretrained_embeddings(path, vocab, emb)
 
     def test_out_of_vocabulary_words_ignored(self, tmp_path):

@@ -354,8 +354,8 @@ class TestHistoryAndConfig:
         model = build_model(config)
         examples = make_examples(config, 4)
         log = tmp_path / "history.jsonl"
-        _, history = train(model, examples, examples,
-                           quick_train_config(max_epochs=2, patience=1), log_path=log)
+        _, history = train(model, examples, examples, quick_train_config(max_epochs=2, patience=1))
+        history.write_log(log)
         lines = log.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(history.epochs)
         for lineno, (line, stats) in enumerate(zip(lines, history.epochs), start=1):
