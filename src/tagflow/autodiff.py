@@ -411,6 +411,9 @@ def window_max_pool(xw, w, b, distinct):
     return _make(out_data, (xw, w, b), bwd)
 
 
+#: Elements of rows below which ``_scatter_add_rows`` calls ``np.add.at``.
+ADD_AT_ELEMENTS = 1 << 13
+
 #: Occurrences up to which ``_scatter_add_rows`` adds an index's rows in rounds.
 SCATTER_ROUNDS = 4
 
@@ -418,11 +421,12 @@ SCATTER_ROUNDS = 4
 def _scatter_add_rows(buf, idx, rows):
     """``buf[idx[i]] += rows[i]`` for every i in turn, repeated indices included.
 
-    ``idx`` is non-negative and ``rows`` has ``buf``'s dtype.  Rows of
-    fewer than ``BLOCK_BYTES`` in all go through ``np.add.at``, whose
-    per-row loop is the faster one at that size.  For more, a fancy
-    ``+=`` keeps only one of the rows that share an index, so the rows of
-    an index seen at most ``SCATTER_ROUNDS`` times go in rounds: round k
+    ``idx`` lies in ``[0, len(buf))`` and ``rows`` has ``buf``'s dtype.
+    Fewer than ``ADD_AT_ELEMENTS`` elements of rows go through
+    ``np.add.at``: its loop costs ~20 ns an element, less than the sort
+    and the rounds below cost at that size.  For more, a fancy ``+=``
+    keeps only one of the rows that share an index, so the rows of an
+    index seen at most ``SCATTER_ROUNDS`` times go in rounds: round k
     adds each such index's k-th row, ``BLOCK_BYTES`` of rows at a time,
     and no index repeats within a round.  The indices seen more often go
     a batch at a time, one batch per power of two their counts reach:
@@ -430,9 +434,11 @@ def _scatter_add_rows(buf, idx, rows):
     is x, bit for bit) to the batch's largest count, and added onto their
     buffer rows one occurrence after another.  Every row of ``buf`` thus
     receives its terms in order of i, the sums ``np.add.at`` forms,
-    several times faster.
+    several times faster.  (The batches alone would do for every count,
+    but a conv backward's winners are mostly seen once or twice, and
+    there the padded copy makes the batches about twice as slow as rounds.)
     """
-    if rows.nbytes < BLOCK_BYTES:
+    if rows.size < ADD_AT_ELEMENTS:
         np.add.at(buf, idx, rows)
         return
     order = np.argsort(idx, kind="stable")
@@ -491,10 +497,13 @@ def softmax_last_axis(x):
 
 
 def embedding_gather(table, idx):
-    """Rows of ``table`` at integer positions ``idx`` (1-D numpy array)."""
+    """Rows of ``table`` at positions ``idx``, a 1-D integer array with values in ``[0, len(table))``."""
     idx = np.asarray(idx)
     if idx.ndim != 1:
         raise ValueError(f"embedding_gather expects 1-D indices, got shape {idx.shape}")
+    n_rows = table.data.shape[0]
+    if idx.dtype.kind not in "iu" or idx.size and not 0 <= idx.min() <= idx.max() < n_rows:
+        raise ValueError(f"embedding_gather expects integer indices in [0, {n_rows})")
     out_data = table.data[idx]
 
     def bwd(g):

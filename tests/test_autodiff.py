@@ -447,7 +447,7 @@ class TestWindowScores:
 class TestScatterAddRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(4))
-    # rows of 8 and of 300 columns, below and above BLOCK_BYTES in all for the larger cases
+    # rows of 8 and of 300 columns: below and above ADD_AT_ELEMENTS, so both the np.add.at and the sorted paths run
     @pytest.mark.parametrize("dim", [8, 300])
     def test_adds_the_bits_np_add_at_adds(self, dtype, seed, dim):
         rng = np.random.default_rng(seed)
@@ -468,6 +468,36 @@ class TestScatterAddRows:
                 np.add.at(expected, idx, rows)
                 autodiff._scatter_add_rows(buf, idx, rows)
                 assert buf.tobytes() == expected.tobytes()
+
+
+class TestEmbeddingGather:
+    # 1,000 rows of 300 float32 columns: past ADD_AT_ELEMENTS, where the
+    # backward sorts the indices and would treat -1 and 999 as two rows
+    @pytest.mark.parametrize("bad", [-1, 1000, -1000])
+    def test_rejects_an_index_outside_the_table(self, bad):
+        table = Tensor(np.zeros((1000, 300), dtype=np.float32), requires_grad=True)
+        idx = np.r_[np.arange(999, -1, -1), bad]
+        with pytest.raises(ValueError, match=r"integer indices in \[0, 1000\)"):
+            embedding_gather(table, idx)
+
+    # a float array, and a boolean mask that numpy would read as a row selection
+    @pytest.mark.parametrize("idx", [np.array([0.0, 1.0]), np.ones(5, dtype=bool)])
+    def test_rejects_indices_that_are_not_integers(self, idx):
+        table = Tensor(np.zeros((5, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match="integer indices"):
+            embedding_gather(table, idx)
+
+    def test_gradient_of_every_row_adds_the_bits_np_add_at_adds(self):
+        rng = np.random.default_rng(0)
+        table = Tensor(rng.standard_normal((1000, 300)).astype(np.float32), requires_grad=True)
+        idx = np.r_[np.zeros(200, dtype=np.intp), rng.integers(0, 1000, 800), 999]
+        g = rng.standard_normal((idx.size, 300)).astype(np.float32)
+        with Tape():
+            loss = sum_(mul(embedding_gather(table, idx), constant(g)))
+        backward(loss)
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, idx, g)
+        assert table.grad.tobytes() == expected.tobytes()
 
 
 class TestDropout:
