@@ -414,59 +414,35 @@ def window_max_pool(xw, w, b, distinct):
 #: Elements of rows below which ``_scatter_add_rows`` calls ``np.add.at``.
 ADD_AT_ELEMENTS = 1 << 13
 
-#: Occurrences up to which ``_scatter_add_rows`` adds an index's rows in rounds.
-SCATTER_ROUNDS = 4
-
 
 def _scatter_add_rows(buf, idx, rows):
     """``buf[idx[i]] += rows[i]`` for every i in turn, repeated indices included.
 
     ``idx`` lies in ``[0, len(buf))`` and ``rows`` has ``buf``'s dtype.
     Fewer than ``ADD_AT_ELEMENTS`` elements of rows go through
-    ``np.add.at``: its loop costs ~20 ns an element, less than the sort
-    and the rounds below cost at that size.  For more, a fancy ``+=``
-    keeps only one of the rows that share an index, so the rows of an
-    index seen at most ``SCATTER_ROUNDS`` times go in rounds: round k
-    adds each such index's k-th row, ``BLOCK_BYTES`` of rows at a time,
-    and no index repeats within a round.  The indices seen more often go
-    a batch at a time, one batch per power of two their counts reach:
-    their rows are stacked by occurrence, padded with -0.0 (``x + -0.0``
-    is x, bit for bit) to the batch's largest count, and added onto their
-    buffer rows one occurrence after another.  Every row of ``buf`` thus
-    receives its terms in order of i, the sums ``np.add.at`` forms,
-    several times faster.  (The batches alone would do for every count,
-    but a conv backward's winners are mostly seen once or twice, and
-    there the padded copy makes the batches about twice as slow as rounds.)
+    ``np.add.at``: its loop costs ~20 ns an element, less than the sorts
+    below cost at that size.  For more, a fancy ``+=`` keeps only one of
+    the rows that share an index, so the rows go in rounds by occurrence:
+    round k adds the k-th row of every index seen more than k times,
+    ``BLOCK_BYTES`` of rows at a time, and no index repeats within a
+    round.  Every row of ``buf`` thus receives its terms in order of i,
+    the sums ``np.add.at`` forms, several times faster.
     """
     if rows.size < ADD_AT_ELEMENTS:
         np.add.at(buf, idx, rows)
         return
     order = np.argsort(idx, kind="stable")
-    ranked = idx[order]
-    first = np.ones(idx.size, dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=idx.size)
-    rounds = counts <= SCATTER_ROUNDS
+    counts = np.bincount(idx)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    by_rank = np.argsort(rank, kind="stable")
     step = max(1, BLOCK_BYTES // rows[0].nbytes)
-    for k in range(min(counts.max(), SCATTER_ROUNDS)):
-        chosen = order[starts[rounds & (counts > k)] + k]
-        for lo in range(0, chosen.size, step):
-            block = chosen[lo:lo + step]
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)):
+        for start in range(lo, hi, step):
+            block = by_rank[start:min(start + step, hi)]
             buf[idx[block]] += rows[block]
-    heavy = np.flatnonzero(~rounds)
-    size = np.frexp(counts[heavy])[1]
-    for s in np.unique(size):
-        batch = heavy[size == s]
-        k = np.arange(counts[batch].max())[:, None]
-        taken = k < counts[batch]
-        terms = np.full(taken.shape + buf.shape[1:], -0.0, dtype=buf.dtype)
-        terms[taken] = rows[order[(starts[batch] + k)[taken]]]
-        heads = ranked[starts[batch]]
-        total = buf[heads]
-        for term in terms:
-            total += term
-        buf[heads] = total
+        lo = hi
 
 
 def sum_(x, axis=None):

@@ -211,7 +211,8 @@ def _prediction_text(rows, tag_vocab):
 
 
 def _load_prediction_file(path):
-    """Read line-delimited (movie_id, rank, tag, probability) records."""
+    """Read line-delimited (movie_id, rank, tag, probability) records, as ``predict`` writes them:
+    each movie's ranks are 1..n and every probability is a number in [0, 1]."""
     by_movie = {}
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -221,11 +222,19 @@ def _load_prediction_file(path):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise DataError(f"{path}: line {lineno}: expected 4 tab-separated fields")
-            movie_id, rank, tag = parts[0], parts[1], parts[2]
+            movie_id, rank, tag, prob = parts
             try:
                 rank = int(rank)
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: rank '{parts[1]}' is not an integer") from None
+            if rank < 1:
+                raise DataError(f"{path}: line {lineno}: rank {rank} is below 1")
+            try:
+                prob_ok = 0.0 <= float(prob) <= 1.0
+            except ValueError:
+                prob_ok = False
+            if not prob_ok:
+                raise DataError(f"{path}: line {lineno}: probability '{prob}' is not a number in [0, 1]")
             ranked = by_movie.setdefault(movie_id, {})
             if rank in ranked or tag in ranked.values():
                 what = f"rank {rank}" if rank in ranked else f"tag '{tag}'"
@@ -233,7 +242,11 @@ def _load_prediction_file(path):
             ranked[rank] = tag
     if not by_movie:
         raise DataError(f"{path}: no prediction records found")
-    return {movie: [ranked[rank] for rank in sorted(ranked)] for movie, ranked in by_movie.items()}
+    for movie, ranked in by_movie.items():
+        if max(ranked) != len(ranked):
+            missing = min(set(range(1, len(ranked) + 1)) - set(ranked))
+            raise DataError(f"{path}: movie '{movie}' has rank {max(ranked)} but no rank {missing}")
+    return {movie: [ranked[rank] for rank in range(1, len(ranked) + 1)] for movie, ranked in by_movie.items()}
 
 
 def _model_inputs(model, text, stopwords, lexicon):
@@ -497,8 +510,9 @@ def _add_common(command, *flags):
     if "out" in flags:
         command.add_argument("--out", help="output file or directory")
     if "input" in flags:
-        command.add_argument("--text", help="one synopsis given inline")
-        command.add_argument("--input", help="file of synopses (movie_id<TAB>text or one text per line)")
+        source = command.add_mutually_exclusive_group()
+        source.add_argument("--text", help="one synopsis given inline")
+        source.add_argument("--input", help="file of synopses (movie_id<TAB>text or one text per line)")
 
 
 def build_parser():

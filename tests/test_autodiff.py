@@ -447,23 +447,29 @@ class TestWindowScores:
 class TestScatterAddRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(4))
-    # rows of 8 and of 300 columns: below and above ADD_AT_ELEMENTS, so both the np.add.at and the sorted paths run
+    # rows of 8 and of 300 columns: below and above ADD_AT_ELEMENTS, so both np.add.at and the rounds run
     @pytest.mark.parametrize("dim", [8, 300])
     def test_adds_the_bits_np_add_at_adds(self, dtype, seed, dim):
         rng = np.random.default_rng(seed)
         n_rows = 60
-        cases = [
+        wide = autodiff.BLOCK_BYTES // np.dtype(dtype).itemsize + 1  # one row to a block
+        cases = [(idx, dim) for idx in (
             rng.integers(0, n_rows, size=400),  # counts from 0 to ~15
             np.minimum(rng.zipf(1.3, size=500), n_rows) - 1,  # one index hundreds of times
             np.r_[np.zeros(300, dtype=np.intp), rng.permutation(n_rows)],  # a padding run
             rng.permutation(n_rows)[:30],  # every index once
             np.repeat(np.arange(30), np.arange(30)),  # every count to 29, each in one run
             np.zeros(0, dtype=np.intp),
+        )] + [
+            (rng.integers(0, 3, size=6 + seed), wide),  # 6-9 rows wider than BLOCK_BYTES, with repeats
+            (rng.integers(0, n_rows, size=autodiff.ADD_AT_ELEMENTS - 1), 1),  # the largest np.add.at takes
+            (rng.integers(0, n_rows, size=autodiff.ADD_AT_ELEMENTS), 1),  # the smallest the rounds take
         ]
-        for idx in cases:
-            rows = rng.standard_normal((idx.size, dim)).astype(dtype)
+        for idx, cols in cases:
+            rows = rng.standard_normal((idx.size, cols)).astype(dtype)
             rows[rng.random(rows.shape) < 0.05] = -0.0
-            for start in (np.zeros((n_rows, dim), dtype=dtype), rng.standard_normal((n_rows, dim)).astype(dtype)):
+            shape = (3 if cols == wide else n_rows, cols)
+            for start in (np.zeros(shape, dtype=dtype), rng.standard_normal(shape).astype(dtype)):
                 expected, buf = start.copy(), start.copy()
                 np.add.at(expected, idx, rows)
                 autodiff._scatter_add_rows(buf, idx, rows)
@@ -472,7 +478,7 @@ class TestScatterAddRows:
 
 class TestEmbeddingGather:
     # 1,000 rows of 300 float32 columns: past ADD_AT_ELEMENTS, where the
-    # backward sorts the indices and would treat -1 and 999 as two rows
+    # backward counts the indices by value instead of calling np.add.at
     @pytest.mark.parametrize("bad", [-1, 1000, -1000])
     def test_rejects_an_index_outside_the_table(self, bad):
         table = Tensor(np.zeros((1000, 300), dtype=np.float32), requires_grad=True)

@@ -88,6 +88,16 @@ class TestArgumentHandling:
     def test_bad_variant_choice_fails(self, capsys):
         assert main(["train", "--variant", "transformer"]) == 1
 
+    @pytest.mark.parametrize("command", ["predict", "emotion-flow"])
+    def test_text_and_input_together_exit_1(self, command, workspace, tmp_path, capsys):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("ghosts in the manor\n", encoding="utf-8")
+        flags = ["--checkpoint", workspace.fe_ckpt, "--k", "2"] if command == "predict" else []
+        status = main([command, *flags, "--lexicon", workspace.lexicon,
+                       "--text", "the detective hunts a killer", "--input", str(batch)])
+        assert status == 1
+        assert "error: argument --input: not allowed with argument --text" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_artifacts_and_adapted_config(self, workspace):
@@ -646,6 +656,30 @@ class TestCompare:
         status = main(["compare", str(prediction_file), str(bad), "--corpus", workspace.corpus])
         assert status == 2
         assert f"error: [predictions] {bad}: line 3: movie 'x1' repeats {repeated}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("line, field, value, message", [
+        (1, 1, "3", "movie '{movie}' has rank 3 but no rank 2"),
+        (0, 1, "0", "line 1: rank 0 is below 1"),
+        (0, 1, "-4", "line 1: rank -4 is below 1"),
+        (0, 3, "notanumber", "line 1: probability 'notanumber' is not a number in [0, 1]"),
+        (0, 3, "nan", "line 1: probability 'nan' is not a number in [0, 1]"),
+        (0, 3, "inf", "line 1: probability 'inf' is not a number in [0, 1]"),
+        (0, 3, "1.5", "line 1: probability '1.5' is not a number in [0, 1]"),
+        (0, 3, "-0.25", "line 1: probability '-0.25' is not a number in [0, 1]"),
+    ], ids=["rank-gap", "rank-0", "rank-negative", "probability-text", "probability-nan", "probability-inf",
+            "probability-above-1", "probability-negative"])
+    def test_ranks_not_1_to_n_or_probability_outside_0_1_exit_2(
+            self, workspace, prediction_file, line, field, value, message, tmp_path, capsys):
+        rows = [row.split("\t") for row in prediction_file.read_text(encoding="utf-8").splitlines()]
+        assert [row[1] for row in rows[:2]] == ["1", "2"] and rows[0][0] == rows[1][0]
+        rows[line][field] = value
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+        status = main(["compare", str(prediction_file), str(bad), "--corpus", workspace.corpus])
+        assert status == 2
+        expected = f"error: [predictions] {bad}: {message.format(movie=rows[0][0])}"
+        assert expected in capsys.readouterr().err
 
 
 class TestEmotionFlowCommand:
