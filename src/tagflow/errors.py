@@ -53,9 +53,10 @@ def check_types(config, ints=(), numbers=(), int_tuples=()):
 
 @contextmanager
 def open_text(path, newline=None, error=DataError):
-    """Open ``path`` to read as UTF-8; bytes that do not decode, or a line the
-    csv module rejects, raise ``error`` naming it."""
-    with open(path, encoding="utf-8", newline=newline) as f:
+    """Open ``path`` to read as UTF-8, dropping a leading byte-order mark;
+    bytes that do not decode, or a line the csv module rejects, raise
+    ``error`` naming it."""
+    with open(path, encoding="utf-8-sig", newline=newline) as f:
         try:
             yield f
         except UnicodeDecodeError as e:

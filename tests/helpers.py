@@ -67,7 +67,7 @@ def reference_encoding(text, vocab, stopwords, lexicon, max_len, n_segments):
 
 def reference_load_lexicon(path):
     """``load_lexicon`` as a loop that normalizes and looks up every field of
-    every line: the oracle for its once-per-run parse."""
+    every line: the oracle for its bulk parse and its once-per-run loop."""
     index = {name: i for i, name in enumerate(EMOTIONS)}
     named, ones = {}, {}
     with open_text(path) as f:
@@ -90,6 +90,8 @@ def reference_load_lexicon(path):
             named[word] = seen | bit
             if flag == "1":
                 ones[word] = set_ | bit
+    if not named:
+        raise DataError(f"{path}: no lexicon entries")
     return EmotionLexicon._from_bits(list(named), [ones.get(word, 0) for word in named])
 
 

@@ -157,6 +157,16 @@ class TestTrain:
         assert main(["train", "--config", str(bad)]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_with_a_byte_order_mark_is_read(self, toy_corpus_path, tmp_path, capsys):
+        # the file's variant is parsed, so the missing --lexicon is what fails
+        config = tmp_path / "bom.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"model": {"variant": "cnn_fe"}}).encode("utf-8"))
+        status = main(["train", "--config", str(config), "--corpus", str(toy_corpus_path),
+                       "--out", str(tmp_path / "m")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "--lexicon" in err and "BOM" not in err
+
     def test_config_file_drives_the_run(self, toy_corpus_path, tmp_path, capsys):
         # the file selects cnn_fe, so the missing --lexicon must be noticed
         config = tmp_path / "run.json"
@@ -740,6 +750,13 @@ class TestEmotionFlowCommand:
     def test_requires_lexicon(self, capsys):
         assert main(["emotion-flow", "--text", "x"]) == 1
         assert "--lexicon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n"])
+    def test_lexicon_without_entries_exits_2_naming_the_file(self, text, tmp_path, capsys):
+        lexicon = tmp_path / "empty.txt"
+        lexicon.write_text(text, encoding="utf-8")
+        assert main(["emotion-flow", "--lexicon", str(lexicon), "--text", "gleam"]) == 2
+        assert f"error: [lexicon] {lexicon}: no lexicon entries" in capsys.readouterr().err
 
 
 class TestNonUtf8DataFiles:

@@ -68,6 +68,12 @@ class TestLoadCorpus:
         (record,) = load_corpus(path)
         assert record.tags == {"cult", "murder"}
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path, toy_corpus_records):
+        plain = write_corpus_csv(tmp_path / "plain.csv", toy_corpus_records)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_corpus(bom) == load_corpus(plain)
+
     def test_val_split_rows_map_to_train(self, tmp_path):
         path = write_corpus_csv(
             tmp_path / "val.csv", [make_record("m1", "plot words", ["cult"], split="val")]

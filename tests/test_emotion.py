@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import GOLDEN_SYNOPSIS, reference_load_lexicon, write_lexicon
+from tagflow import emotion
 from tagflow.corpus import tokenize
 from tagflow.emotion import (
     DEFAULT_SEGMENTS,
@@ -23,7 +25,7 @@ from tagflow.emotion import (
     load_lexicon,
     segment_words,
 )
-from tagflow.errors import DataError
+from tagflow.errors import DataError, open_text
 
 GOLDEN_CSV = Path(__file__).parent / "fixtures" / "emotion_flow_golden.csv"
 
@@ -102,6 +104,25 @@ class TestLexicon:
         with pytest.raises(DataError):
             EmotionLexicon({"w": [1, 0]})
 
+    def test_direct_construction_rejects_keys_that_collide_with_other_vectors(self):
+        joy = [1] + [0] * 9
+        with pytest.raises(DataError, match="conflicting vectors for lexicon word 'joy'"):
+            EmotionLexicon({"Joy": joy, "joy": [0] * 10})
+        npt.assert_array_equal(EmotionLexicon({"Joy": joy, "JOY": joy}).vector("joy"), joy)
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_file_without_entries_rejected(self, tmp_path, text):
+        path = write_lexicon(tmp_path / "empty.txt", text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no lexicon entries$"):
+            load_lexicon(path)
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfgleam\tjoy\t1\n")
+        lex = load_lexicon(path)
+        assert list(lex._index) == ["gleam"]
+        assert lex.vector("gleam")[idx("joy")] == 1
+
 
 def _parsed(load, path):
     """A loader's lexicon as comparable bytes, or its DataError message."""
@@ -144,13 +165,13 @@ def _fuzzed_lexicon(rng):
 
 
 class TestLoadLexiconMatchesTheLineLoop:
-    """``load_lexicon`` parses once per run of a word's lines; the per-line loop
-    in ``helpers.reference_load_lexicon`` is its oracle."""
+    """``load_lexicon``, and the once-per-run line loop it falls back on, give
+    what the per-line loop in ``helpers.reference_load_lexicon`` gives."""
 
     def check(self, path, text):
         path.write_bytes(text.encode("utf-8"))
         got = _parsed(load_lexicon, path)
-        assert got == _parsed(reference_load_lexicon, path), text
+        assert got == _parsed(emotion._load_lines, path) == _parsed(reference_load_lexicon, path), text
         return got
 
     def test_fuzzed_files_give_the_same_lexicon_or_error(self, tmp_path):
@@ -161,7 +182,7 @@ class TestLoadLexiconMatchesTheLineLoop:
             got = self.check(path, _fuzzed_lexicon(rng))
             outcomes.add(got[1].split(": ")[-1].split(" ")[0] if got[0] == "error" else "ok")
         # every kind of error and a clean parse were reached
-        assert outcomes == {"ok", "expected", "unknown", "association", "conflicting"}
+        assert outcomes == {"ok", "expected", "unknown", "association", "conflicting", "no"}
 
     @pytest.mark.parametrize("text", [
         "gleam\tjoy\t1\ndread\tfear\t1\ngleam\tfear\t1\n",           # a word in a later run
@@ -183,6 +204,103 @@ class TestLoadLexiconMatchesTheLineLoop:
         self.check(tmp_path / "runs.txt", "\n".join(lines) + "\n")
         rng.shuffle(lines)
         self.check(tmp_path / "shuffled.txt", "\n".join(lines) + "\n")
+
+
+#: Words for the canonical fuzz: at widths on each side of the 8-byte windows
+#: the bulk parse compares at a word's start and end, one word and the words
+#: that differ from it in their middle or their last byte; and a word that is
+#: also a label.
+_CANONICAL_WORDS = tuple(dict.fromkeys(
+    word for n in (1, 7, 8, 9, 15, 16, 17, 24) for base in ["abcdefghijklmnopqrstuvwx"[:n]]
+    for word in (base, base[:n // 2] + "z" + base[n // 2 + 1:], base[:-1] + "z")
+)) + ("gleam", "dr-ead", "joy", "0")
+
+
+def _canonical_lexicon(rng):
+    """One canonical lexicon text: runs of a word's lines, words that come
+    back in later runs, and now and then a flag flipped into a conflict."""
+    p_conflict = rng.choice([0.0, 0.0, 0.01, 0.05])
+    truth = {}
+    lines = []
+    for _ in range(rng.randrange(1, 8)):
+        word = rng.choice(_CANONICAL_WORDS)
+        for _ in range(rng.randrange(1, 12)):
+            label = rng.choice(EMOTIONS)
+            flag = truth.setdefault((word, label), rng.choice("01"))
+            if rng.random() < p_conflict:
+                flag = "10"[int(flag)]
+            lines.append(f"{word}\t{label}\t{flag}")
+    return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+
+
+def _takes_bulk_path(path):
+    """Whether ``load_lexicon`` parses the file at ``path`` without the line loop."""
+    with open_text(path) as f:
+        return emotion._load_canonical(f) is not None
+
+
+class TestBulkParse:
+    """The bulk parse of canonical text gives what the line loop gives, and
+    every other file is parsed by the line loop."""
+
+    def test_fuzzed_canonical_files_across_chunk_edges(self, tmp_path, monkeypatch):
+        rng = random.Random(21)
+        path = tmp_path / "canonical.txt"
+        outcomes = set()
+        for _ in range(1_000):
+            # chunks of 4 to 159 characters, so runs, words that come back
+            # and conflicts straddle chunk edges
+            monkeypatch.setattr(emotion, "_CHUNK_CHARS", rng.randrange(4, 160))
+            path.write_text(_canonical_lexicon(rng), encoding="utf-8")
+            got = _parsed(load_lexicon, path)
+            assert got == _parsed(reference_load_lexicon, path), path.read_text(encoding="utf-8")
+            # only a conflict sends a canonical file to the line loop
+            assert _takes_bulk_path(path) == (got[0] != "error")
+            outcomes.add(got[1].split(": ")[-1].split(" ")[0] if got[0] == "error" else "ok")
+        assert outcomes == {"ok", "conflicting"}
+
+    def test_realigned_tabs_are_reported_by_line(self, tmp_path):
+        # two tabs a line on average, but one line has one and the next three
+        path = write_lexicon(tmp_path / "tabs.txt", "w\tjoy\n0\tv\tfear\t1\n")
+        assert _parsed(load_lexicon, path) == ("error", f"{path}: line 1: expected 3 tab-separated fields")
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("gleam\tjoy\t1\ngl\0eam\tfear\t1\n", False),                       # a word with a NUL
+        ("gleam\tjoy\t1\ngl\u00e9am\tfear\t1\n", False),                    # a non-ASCII word
+        ("gleam\tjoy\t1\ngleam\tfear\t1\x0b\n", False),                     # whitespace that strips
+        ("gleam\tjoy\t1\n\tfear\t1\n", False),                              # an empty word
+        ("gleam\tjoy\t1\ngleam\tfeat\t1\n", False),                         # a label wrong in its last byte
+        ("anticipatio\tanticipation\t1\nx\tanticipatiom\t1\n", False),      # a label wrong past byte 8
+        ("gleam\tjoy\t1\ndread\tfear\t0", True),                             # no final newline
+        ("gleam\tjoy\t1\r\ndread\tfear\t0\r\n", True),                      # CRLF endings
+        ("gleam\tjoy\t1\rdread\tfear\t0\r", True),                          # CR endings
+        ("abcdefghijklmnopq\tjoy\t1\nabcdefghzjklmnopq\tfear\t0\n", True),  # words apart in byte 8 alone
+    ])
+    def test_edge_cases(self, tmp_path, text, canonical):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _parsed(load_lexicon, path) == _parsed(reference_load_lexicon, path)
+        assert _takes_bulk_path(path) == canonical
+
+    def test_a_bad_line_is_reported_before_bytes_that_do_not_decode_after_it(self, tmp_path):
+        # the bulk parse reads far past line 1 before it sees that line
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"gleam\tbliss\t1\n" + b"dread\tfear\t1\n" * 2_000 + b"gl\xe9am\tjoy\t1\n")
+        assert _parsed(load_lexicon, path) == ("error", f"{path}: line 1: unknown emotion label 'bliss'")
+
+    def test_emolex_shaped_file_never_reaches_the_line_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        words = [f"w{i:04d}" + "x" * (i % 20) for i in range(1500)]
+        lines = [f"{word}\t{label}\t{int(rng.random() < 0.2)}" for word in words for label in EMOTIONS]
+        path = write_lexicon(tmp_path / "emolex.txt", "\n".join(lines) + "\n")
+        assert len(path.read_text(encoding="utf-8")) > 3 * emotion._CHUNK_CHARS
+        expected = _parsed(reference_load_lexicon, path)
+
+        def line_loop(path):
+            raise AssertionError("the line loop parsed a canonical file")
+
+        monkeypatch.setattr(emotion, "_load_lines", line_loop)
+        assert _parsed(load_lexicon, path) == expected
 
 
 class TestSegmentWords:
