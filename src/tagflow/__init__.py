@@ -42,7 +42,6 @@ from .metrics import (
     micro_f1,
     prediction_overlap,
     recall_delta,
-    tag_in_text_rate,
     tag_recall,
     tags_learned,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "ClassWeights", "compute_class_weights",
     "MetricsReport", "baseline_most_frequent", "baseline_random",
     "evaluate_predictions", "micro_f1", "prediction_overlap", "recall_delta",
-    "tag_in_text_rate", "tag_recall", "tags_learned",
+    "tag_recall", "tags_learned",
     "ModelConfig", "TagModel", "build_model", "load_pretrained_embeddings",
     "predict_top_k",
     "RmsProp",

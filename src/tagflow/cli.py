@@ -255,9 +255,10 @@ def _model_inputs(model, text, stopwords, lexicon):
                         model.config.seq_len, model.config.n_segments)
 
 
-def _probabilities(model, movie_id, tokens, flow):
-    """The model's tag probabilities for one example; NumericError if any is not finite."""
-    probs = model.forward(tokens, flow).data
+def _probabilities(model, movie_id, tokens, flow, conv=None):
+    """The model's tag probabilities for one example, given its conv features
+    if already computed; NumericError if any is not finite."""
+    probs = model.forward(tokens, flow, conv=conv).data
     if not np.isfinite(probs).all():
         raise NumericError(f"non-finite tag probability for movie '{movie_id}'")
     return probs
@@ -391,14 +392,18 @@ def cmd_evaluate(args):
         inputs = [_model_inputs(model, r.synopsis, stopwords, lexicon) for r in test_records]
 
     with _stage("evaluate"):
-        prob_rows = {}
+        prob_rows, kl_total, n_scored = {}, 0.0, 0
         for r, (tokens, flow) in zip(test_records, inputs):
-            prob_rows[r.movie_id] = _probabilities(model, r.movie_id, tokens, flow)
-        # the KL needs a target, so movies with no training tag are ranked and scored but not in it
-        scored = [EncodedExample(r.movie_id, tokens, make_target(r.tags, model.tag_vocab), flow, r.tags)
-                  for r, (tokens, flow) in zip(test_records, inputs)
-                  if any(tag in model.tag_vocab for tag in r.tags)]
-        mean_kl = evaluate_loss(model, scored) if scored else None
+            # one conv per movie feeds both its probabilities and its KL
+            conv = model.conv_features(tokens).data
+            prob_rows[r.movie_id] = _probabilities(model, r.movie_id, tokens, flow, conv)
+            # the KL needs a target, so movies with no training tag are ranked and scored but not in it
+            if any(tag in model.tag_vocab for tag in r.tags):
+                example = EncodedExample(r.movie_id, tokens, make_target(r.tags, model.tag_vocab), flow, r.tags)
+                # a plain running sum in input order, as evaluate_loss keeps over a list
+                kl_total += evaluate_loss(model, [example], conv=[conv])
+                n_scored += 1
+        mean_kl = kl_total / n_scored if n_scored else None
         for k in ks:
             preds = {
                 movie: predict_top_k(probs, k, model.tag_vocab)

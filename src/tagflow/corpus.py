@@ -143,10 +143,6 @@ class Vocabulary:
         """Number of content words (excludes the two reserved indices)."""
         return len(self.words)
 
-    @property
-    def total_size(self):
-        return len(self.words) + 2
-
     def __contains__(self, word):
         return word in self._index
 

@@ -8,7 +8,6 @@ reports render them as percentages only at presentation time.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -159,24 +158,6 @@ def recall_delta(report_a, report_b):
         for tag, ra, rb in zip(report_a.tags, report_a.per_tag_recall, report_b.per_tag_recall)
     ]
     return sorted(deltas, key=lambda pair: -abs(pair[1]))
-
-
-def tag_in_text_rate(preds, synopses):
-    """Fraction of predicted tag instances found verbatim in the synopsis.
-
-    A tag counts only when the whole tag string appears on word
-    boundaries, case-insensitively ("murder" does not match "murdered").
-    """
-    total = 0
-    found = 0
-    for movie, tags in preds.items():
-        text = synopses.get(movie, "")
-        for tag in tags:
-            total += 1
-            pattern = r"(?<!\w)" + re.escape(tag) + r"(?!\w)"
-            if re.search(pattern, text, flags=re.IGNORECASE):
-                found += 1
-    return found / total if total else 0.0
 
 
 def prediction_overlap(preds_a, preds_b):

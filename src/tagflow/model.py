@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dropout, reshape, softmax_last_axis
+from .autodiff import Tensor, concat, constant, dropout, recording, reshape, softmax_last_axis
 from .corpus import OOV_INDEX, PAD_INDEX, SEQUENCE_LENGTH
 from .emotion import DEFAULT_SEGMENTS, EMOTIONS
 from .errors import ConfigError, DataError, check_keys, check_types, open_text
@@ -183,15 +183,26 @@ class TagModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, tokens, flow=None, dropout_rng=None):
+    def conv_features(self, tokens):
+        """The conv bank's pooled features of one token sequence, taped exactly when a tape records."""
+        return conv_bank_forward(self.embedding.lookup(tokens), self.conv, tokens=tokens)
+
+    def forward(self, tokens, flow=None, dropout_rng=None, *, conv=None):
         """Probability vector over tags for one encoded example.
 
-        ``tokens`` is the fixed-length index sequence; ``flow`` is the
+        ``tokens`` is the (seq_len,) index sequence; ``flow`` is the
         (n_segments, 10) emotion matrix, required exactly when the variant
         has the emotion branch (flow-less variants refuse one outright, so
         their output cannot depend on it).  Dropout follows each hidden
         dense layer exactly when ``dropout_rng`` is given.
+
+        ``conv`` is the example's ``conv_features(tokens).data``, for a
+        forward that records nothing: with it, the embedding lookup and the
+        conv bank are skipped, and the result has the same bits.
         """
+        tokens = np.asarray(tokens)
+        if tokens.shape != (self.config.seq_len,):
+            raise ValueError(f"token sequence shape {tokens.shape} != ({self.config.seq_len},)")
         if self.config.uses_flow:
             if flow is None:
                 raise ValueError(f"variant '{self.config.variant}' requires an emotion flow input")
@@ -202,9 +213,15 @@ class TagModel:
         elif flow is not None:
             raise ValueError(f"variant '{self.config.variant}' does not take an emotion flow input")
 
-        tokens = np.asarray(tokens)
-        embedded = self.embedding.lookup(tokens)
-        features = [conv_bank_forward(embedded, self.conv, tokens=tokens)]
+        if conv is None:
+            features = [self.conv_features(tokens)]
+        else:
+            if recording(self.embedding.table, *self.conv.parameters().values()):
+                raise ValueError("precomputed conv features carry no gradient; pass conv only when no tape records")
+            conv = np.asarray(conv)
+            if conv.shape != (self.conv.output_dim,):
+                raise ValueError(f"conv features of shape {conv.shape} != ({self.conv.output_dim},)")
+            features = [constant(conv, dtype=self.dtype)]
         if self.config.uses_flow:
             states, final = bilstm_forward(flow.astype(self.dtype), self.lstm_fwd, self.lstm_bwd)
             r, _ = attention_forward(states, self.attention)

@@ -69,14 +69,6 @@ class TrainHistory:
     epochs: list = field(default_factory=list)
     best_epoch: int = -1
 
-    @property
-    def train_losses(self):
-        return [e.train_loss for e in self.epochs]
-
-    @property
-    def val_losses(self):
-        return [e.val_loss for e in self.epochs]
-
     def write_log(self, path):
         """One JSON record per line: epoch, train_loss, val_loss, seconds."""
         with open(path, "w", encoding="utf-8") as f:
@@ -84,20 +76,27 @@ class TrainHistory:
                 f.write(json.dumps(asdict(stats)) + "\n")
 
 
-def _example_loss(model, example, weights, dropout_rng=None):
+def _example_loss(model, example, weights, dropout_rng=None, conv=None):
     flow = example.flow if model.config.uses_flow else None
-    probs = model.forward(example.tokens, flow, dropout_rng=dropout_rng)
+    probs = model.forward(example.tokens, flow, dropout_rng=dropout_rng, conv=conv)
     return kl_divergence(example.target, probs, weights=weights)
 
 
-def evaluate_loss(model, examples, class_weights=None):
-    """Mean per-example KL in evaluation mode (no dropout, no recording)."""
+def evaluate_loss(model, examples, class_weights=None, *, conv=None):
+    """Mean per-example KL in evaluation mode (no dropout, no recording).
+
+    ``conv``, when the caller already has them, holds each example's conv
+    features (``TagModel.forward``'s ``conv=``) in order; without it each
+    forward runs its own conv.
+    """
     if not examples:
         raise ValueError("evaluate_loss requires at least one example")
+    if conv is None:
+        conv = [None] * len(examples)
     weights = class_weights.weights if class_weights is not None else None
     total = 0.0
-    for example in examples:
-        total += float(_example_loss(model, example, weights).data)
+    for example, row in zip(examples, conv, strict=True):
+        total += float(_example_loss(model, example, weights, conv=row).data)
     return total / len(examples)
 
 

@@ -240,3 +240,29 @@ def reference_bilstm(flow, fwd_cell, bwd_cell):
     states = concat([concat(fwd_states, axis=0), concat(bwd_states, axis=0)], axis=-1)
     final = concat([fwd_states[-1], bwd_states[0]], axis=-1)
     return states, final
+
+
+def fuzzed_token_lists(rng, n, seq_len, n_ids):
+    """``n`` left-padded token sequences of ``seq_len`` ids below ``n_ids``, cycling through the kinds
+    a tape-free conv must score alike: a random pad lead (none to all but one row) before random
+    ids; random ids with no padding; a few ids repeated; all padding; one id throughout; and a
+    pad lead before a single real id."""
+    out = []
+    for i in range(n):
+        tokens = np.zeros(seq_len, dtype=np.intp)
+        kind = i % 6
+        if kind == 0:
+            n_real = int(rng.integers(1, seq_len))
+            tokens[seq_len - n_real:] = rng.integers(1, n_ids, size=n_real)
+        elif kind == 1:
+            tokens[:] = rng.integers(0, n_ids, size=seq_len)
+        elif kind == 2:
+            lead = int(rng.integers(0, seq_len // 2))
+            tokens[lead:] = rng.choice(rng.integers(1, n_ids, size=3), size=seq_len - lead)
+        elif kind == 4:  # kind 3 stays all padding
+            tokens[:] = rng.integers(1, n_ids)
+        elif kind == 5:
+            tokens[-1] = rng.integers(1, n_ids)
+        out.append(tokens)
+    return out
+

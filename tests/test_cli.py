@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from helpers import GOLDEN_SYNOPSIS, brute_force_micro_f1, make_record, write_corpus_csv
+from tagflow import model as model_module
 from tagflow.autodiff import kl_divergence
 from tagflow.checkpoint import load_checkpoint, save_checkpoint
 from tagflow.cli import main
 from tagflow.corpus import Split, encode_records, load_corpus, load_stopwords
 from tagflow.emotion import load_lexicon
 from tagflow.metrics import MetricsReport
-from tagflow.model import MAX_INPUT_ROWS
+from tagflow.model import MAX_INPUT_ROWS, TagModel
 
 TINY_DIMS = [
     "--set", "model.seq_len=12",
@@ -576,6 +577,101 @@ class TestEvaluate:
                        "--lexicon", workspace.lexicon, "--k", "2"])
         assert status == 1
         assert "--corpus" in capsys.readouterr().err
+
+
+class TestSharedConv:
+    """``evaluate`` runs one conv per test movie and hands it to both the
+    probabilities and the KL; every output must keep the bits of one full
+    forward per pass, and ``predict --input`` those of one ``--text`` run
+    per synopsis."""
+
+    #: Test synopses of every kind: long and short (padded), repeated words, all
+    #: stopwords (all padding), one unknown word throughout, one word after padding.
+    TEXTS = [
+        "a detective chases a killer through the rainy city",
+        "a charming love story blooms in the village " * 3,
+        "ghosts haunt the manor and violence follows",
+        "killer killer love killer love love killer killer love",
+        "the and of a",
+        "zorblax " * 20,
+        "ghosts",
+        "violence erupts as rival gangs fight for the city while a detective sets a trap for the ruthless killer",
+    ]
+
+    @staticmethod
+    def one_forward_per_movie(monkeypatch):
+        """Make every forward run its own lookup and conv, ignoring given features."""
+        forward = TagModel.forward
+        monkeypatch.setattr(TagModel, "forward", lambda self, tokens, flow=None, dropout_rng=None, *, conv=None:
+                            forward(self, tokens, flow, dropout_rng))
+
+    def evaluate(self, workspace, corpus, out):
+        status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", str(corpus),
+                       "--lexicon", workspace.lexicon, "--k", "1,3", "--out", str(out)])
+        assert status == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def test_evaluate_files_equal_the_one_at_a_time_path(self, workspace, toy_corpus_records, tmp_path,
+                                                         monkeypatch, capsys):
+        tags = [["murder"], ["romantic"], ["paranormal", "violence"], ["murder", "romantic"], ["violence"],
+                ["western"], ["paranormal"], ["murder", "violence"]]
+        records = [*(r for r in toy_corpus_records if r.split is Split.TRAIN),
+                   *(make_record(f"y{i}", text, t, split=Split.TEST) for i, (text, t) in enumerate(zip(self.TEXTS, tags)))]
+        corpus = write_corpus_csv(tmp_path / "corpus.csv", records)
+        calls = {"conv": 0, "forward": 0}
+        conv_bank_forward, forward = model_module.conv_bank_forward, TagModel.forward
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "conv_bank_forward", counted("conv", conv_bank_forward))
+            m.setattr(TagModel, "forward", counted("forward", forward))
+            shared = self.evaluate(workspace, corpus, tmp_path / "shared")
+        # 8 test movies, 7 of them with a training tag and so in the KL
+        assert calls == {"conv": 8, "forward": 15}
+        self.one_forward_per_movie(monkeypatch)
+        assert self.evaluate(workspace, corpus, tmp_path / "alone") == shared
+        assert len(shared) == 4 and MetricsReport.from_json(shared["metrics_k1.json"].decode()).metadata["mean_kl"] > 0
+
+    def test_predict_input_equals_a_text_run_per_synopsis(self, workspace, tmp_path, capsys):
+        batch = tmp_path / "batch.tsv"
+        batch.write_text("".join(f"m{i}\t{text}\n" for i, text in enumerate(self.TEXTS)), encoding="utf-8")
+        argv = ["predict", "--checkpoint", workspace.fe_ckpt, "--lexicon", workspace.lexicon, "--k", "3"]
+        assert main([*argv, "--input", str(batch)]) == 0
+        batched = capsys.readouterr().out
+        alone = ""
+        for i, text in enumerate(self.TEXTS):
+            assert main([*argv, "--text", text]) == 0
+            alone += capsys.readouterr().out.replace("input-1\t", f"m{i}\t")
+        assert batched == alone and len(batched.splitlines()) == 3 * len(self.TEXTS)
+
+    def test_nan_row_exits_3_naming_the_first_movie_it_reaches(self, workspace, tmp_path, capsys):
+        """Only movies holding 'violence' score NaN, and the first of them in input order is named."""
+        model = load_checkpoint(workspace.fe_ckpt)
+        assert "violence" in model.vocab
+        model.embedding.table.data[model.vocab.index("violence")] = np.nan
+        checkpoint = tmp_path / "nan.ckpt"
+        save_checkpoint(model, checkpoint)
+        out = tmp_path / "eval"
+        status = main(["evaluate", "--checkpoint", str(checkpoint), "--corpus", workspace.corpus,
+                       "--lexicon", workspace.lexicon, "--k", "1", "--out", str(out)])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert "error: [evaluate] non-finite tag probability for movie 'x3'" in captured.err
+        assert captured.out == "" and not out.exists()
+        batch = tmp_path / "batch.tsv"
+        batch.write_text("".join(f"m{i}\t{text}\n" for i, text in enumerate(self.TEXTS)), encoding="utf-8")
+        preds = tmp_path / "preds.tsv"
+        status = main(["predict", "--checkpoint", str(checkpoint), "--lexicon", workspace.lexicon,
+                       "--k", "1", "--input", str(batch), "--out", str(preds)])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert "error: [predict] non-finite tag probability for movie 'm2'" in captured.err
+        assert captured.out == "" and not preds.exists()
 
 
 class TestBaselines:

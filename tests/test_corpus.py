@@ -170,7 +170,6 @@ class TestVocabulary:
         records = [make_record("m1", "alpha beta gamma alpha", ["t"])]
         vocab = build_vocabulary(records, max_words=5000, stopwords=frozenset())
         assert vocab.size == 3
-        assert vocab.total_size == 5
 
     def test_frequency_then_lexicographic_order(self):
         records = [make_record("m1", "bb aa bb aa cc", ["t"])]

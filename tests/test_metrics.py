@@ -25,7 +25,6 @@ from tagflow.metrics import (
     micro_f1,
     prediction_overlap,
     recall_delta,
-    tag_in_text_rate,
     tag_recall,
     tags_learned,
 )
@@ -246,32 +245,6 @@ class TestRecallDelta:
     def test_mismatched_vocabularies_rejected(self):
         with pytest.raises(DataError):
             recall_delta(self.report(["x"], [0.1]), self.report(["y"], [0.1]))
-
-
-class TestTagInTextRate:
-    def test_word_boundary_blocks_partial_matches(self):
-        rate = tag_in_text_rate({"m1": ["murder"]}, {"m1": "He murdered the butler."})
-        assert rate == 0.0
-
-    def test_verbatim_match_counts(self):
-        rate = tag_in_text_rate({"m1": ["murder"]}, {"m1": "A murder in the house."})
-        assert rate == 1.0
-
-    def test_case_insensitive(self):
-        assert tag_in_text_rate({"m1": ["murder"]}, {"m1": "MURDER!"}) == 1.0
-
-    def test_multi_word_tags_match_as_phrases(self):
-        synopses = {"m1": "a cold case file reopened"}
-        assert tag_in_text_rate({"m1": ["cold case"]}, synopses) == 1.0
-        assert tag_in_text_rate({"m1": ["case cold"]}, synopses) == 0.0
-
-    def test_fraction_over_all_predicted_instances(self):
-        preds = {"m1": ["murder", "cult"], "m2": ["murder", "farm"]}
-        synopses = {"m1": "a murder", "m2": "nothing here"}
-        assert tag_in_text_rate(preds, synopses) == 0.25
-
-    def test_empty_predictions(self):
-        assert tag_in_text_rate({}, {}) == 0.0
 
 
 class TestPredictionOverlap:

@@ -10,7 +10,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tagflow.autodiff import Tensor, constant, gradcheck, kl_divergence
+from helpers import fuzzed_token_lists
+from tagflow.autodiff import Tape, Tensor, constant, gradcheck, kl_divergence
 from tagflow.corpus import Vocabulary
 from tagflow.errors import ConfigError, DataError
 from tagflow.layers import ClassWeights, Embedding
@@ -216,6 +217,37 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             model.forward(tokens, flow=np.zeros((3, 10)))
 
+    @pytest.mark.parametrize("shape", [(10,), (17,), (16, 1), ()])
+    def test_token_sequence_shape_validated(self, shape):
+        model = build_model(small_config())
+        _, flow = random_inputs(model.config)
+        with pytest.raises(ValueError, match=r"token sequence shape .* != \(16,\)"):
+            model.forward(np.ones(shape, dtype=np.intp), flow=flow)
+
+    @pytest.mark.parametrize("variant, dtype", [("cnn", np.float32), ("cnn_fe", np.float32),
+                                                ("cnn_fe", np.float64)])
+    def test_conv_features_give_forwards_bits(self, variant, dtype):
+        config = small_config(variant=variant, vocab_size=58, seq_len=80, embed_dim=24, filter_sizes=(2, 3, 5),
+                              filters_per_size=40, n_segments=6, dense_sizes=(16,), n_tags=7)
+        model = build_model(config, dtype=dtype)
+        rng = np.random.default_rng(1)
+        token_lists = fuzzed_token_lists(rng, 36, config.seq_len, config.vocab_size + 2)
+        flows = [100.0 * rng.random((config.n_segments, 10)) if config.uses_flow else None for _ in token_lists]
+        for tokens, flow in zip(token_lists, flows):
+            row = model.conv_features(tokens).data
+            assert row.shape == (model.conv.output_dim,) and row.dtype == dtype
+            probs = model.forward(tokens, flow, conv=row).data
+            assert probs.tobytes() == model.forward(tokens, flow).data.tobytes(), tokens
+
+    def test_conv_features_refused_while_a_tape_records(self):
+        model = build_model(small_config())
+        tokens, flow = random_inputs(model.config)
+        row = model.conv_features(tokens).data
+        with Tape(), pytest.raises(ValueError, match="no tape records"):
+            model.forward(tokens, flow, conv=row)
+        with pytest.raises(ValueError, match=r"conv features of shape \(7,\) != \(8,\)"):
+            model.forward(tokens, flow, conv=row[:7])
+
     def test_dropout_perturbs_training_forward(self):
         config = small_config()
         model = build_model(config)
@@ -285,7 +317,7 @@ class TestPretrainedEmbeddings:
     @staticmethod
     def setup_pair():
         vocab = Vocabulary(["alpha", "beta", "gamma"])
-        embedding = Embedding(vocab.total_size, 3, np.random.default_rng(0))
+        embedding = Embedding(vocab.size + 2, 3, np.random.default_rng(0))
         return vocab, embedding
 
     def test_full_coverage_replaces_exact_rows(self, tmp_path):

@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from test_model import small_config
-from tagflow.autodiff import Tensor
+from tagflow.autodiff import Tensor, kl_divergence
 from tagflow.corpus import EncodedExample, TagVocabulary
 from tagflow.errors import ConfigError, NumericError
 from tagflow.layers import ClassWeights
@@ -85,6 +85,21 @@ class TestEvaluateLoss:
         with pytest.raises(ValueError):
             evaluate_loss(build_model(tiny_config()), [])
 
+    def test_given_conv_gives_one_forward_per_example_bit_for_bit(self):
+        config = small_config(n_tags=3, vocab_size=40, seq_len=30, filters_per_size=16)
+        model = build_model(config)
+        examples = make_examples(config, 12)
+        weights = ClassWeights(n_examples=12, tag_counts=(3, 4, 5))
+        expected = 0.0
+        for ex in examples:
+            expected += float(kl_divergence(ex.target, model.forward(ex.tokens, ex.flow),
+                                            weights=weights.weights).data)
+        assert evaluate_loss(model, examples, weights) == expected / len(examples)
+        conv = [model.conv_features(ex.tokens).data for ex in examples]
+        assert evaluate_loss(model, examples, weights, conv=conv) == expected / len(examples)
+        with pytest.raises(ValueError):
+            evaluate_loss(model, examples, weights, conv=conv[:-1])
+
 
 class TestEarlyStopping:
     def test_patience_zero_stops_at_first_non_improvement(self):
@@ -122,8 +137,9 @@ class TestEarlyStopping:
         trained, history = train(model, examples, val,
                                  quick_train_config(lr=1e-2, max_epochs=5, patience=4))
         restored_loss = evaluate_loss(trained, val)
-        assert restored_loss == min(history.val_losses)
-        assert restored_loss == history.val_losses[history.best_epoch - 1]
+        val_losses = [e.val_loss for e in history.epochs]
+        assert restored_loss == min(val_losses)
+        assert restored_loss == val_losses[history.best_epoch - 1]
 
 
 class TestDeterminism:
@@ -137,8 +153,7 @@ class TestDeterminism:
             trained, history = train(model, examples, val, quick_train_config())
             runs.append((trained, history))
         a, b = runs
-        assert a[1].train_losses == b[1].train_losses
-        assert a[1].val_losses == b[1].val_losses
+        assert [(e.train_loss, e.val_loss) for e in a[1].epochs] == [(e.train_loss, e.val_loss) for e in b[1].epochs]
         for name, p in a[0].parameters().items():
             npt.assert_array_equal(p.data, b[0].parameters()[name].data, err_msg=name)
 
@@ -154,7 +169,7 @@ class TestDeterminism:
                                      class_weights=weights)
             runs.append((trained, history))
         a, b = runs
-        assert a[1].train_losses == b[1].train_losses
+        assert [e.train_loss for e in a[1].epochs] == [e.train_loss for e in b[1].epochs]
         for name, p in a[0].parameters().items():
             npt.assert_array_equal(p.data, b[0].parameters()[name].data, err_msg=name)
         assert any(name.startswith("lstm_") for name in a[0].parameters())
@@ -167,7 +182,7 @@ class TestDeterminism:
         for seed in (0, 1):
             model = build_model(config)
             _, history = train(model, examples, val, quick_train_config(seed=seed))
-            losses.append(history.train_losses)
+            losses.append([e.train_loss for e in history.epochs])
         assert losses[0] != losses[1]
 
     def test_zero_lr_leaves_parameters_bitwise_untouched(self):
@@ -364,11 +379,11 @@ class TestHistoryAndConfig:
             assert record["train_loss"] == stats.train_loss
             assert record["val_loss"] == stats.val_loss
             assert record["seconds"] >= 0
-
-    def test_history_properties_align(self):
-        history = TrainHistory()
-        assert history.train_losses == [] and history.val_losses == []
-        assert history.best_epoch == -1
+        # a history before any epoch keeps no weights and logs nothing
+        empty = TrainHistory()
+        assert empty.best_epoch == -1
+        empty.write_log(log)
+        assert log.read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize("overrides", [
         {"batch_size": 0},
