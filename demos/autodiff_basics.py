@@ -10,24 +10,27 @@ just numpy buffers.
 
 import numpy as np
 
-from tagflow import Tape, Tensor, backward, constant, gradcheck, kl_divergence
-from tagflow.autodiff import matmul, relu, softmax_last_axis, sum_
+from tagflow.autodiff import (
+    Tape, Tensor, backward, constant, gradcheck, kl_divergence, matmul, relu, softmax_last_axis,
+)
 
-# 1. a tiny computation: y = sum(relu(x W))
+# 1. a tiny computation: y = sum(relu(x W)), the sum taken as a product
+# with a column of ones
 rng = np.random.default_rng(0)
 W = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
 x = constant(rng.standard_normal((1, 3)))
+ones = constant(np.ones((2, 1)))
 
 with Tape():
-    y = sum_(relu(matmul(x, W)))
+    y = matmul(relu(matmul(x, W)), ones)
 backward(y)
-print("loss:", float(y.data))
+print("loss:", y.data.item())
 print("dloss/dW:\n", W.grad)
 
 # 2. gradients accumulate when a tensor is used twice
 W.zero_grad()
 with Tape():
-    y = sum_(matmul(x, W)) + sum_(matmul(x, W))
+    y = matmul(matmul(x, W), ones) + matmul(matmul(x, W), ones)
 backward(y)
 print("\nused twice, gradient doubles:\n", W.grad)
 

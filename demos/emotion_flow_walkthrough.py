@@ -10,8 +10,8 @@ emotions plus the two polarities).  Stacking the segments gives the
 
 import numpy as np
 
-from tagflow import EMOTIONS, EmotionLexicon, emotion_flow, emotion_vector, flow_to_csv, tokenize
-from tagflow.emotion import segment_words
+from tagflow.corpus import tokenize
+from tagflow.emotion import EMOTIONS, EmotionLexicon, emotion_flow, emotion_vector, flow_to_csv, segment_words
 
 # A miniature lexicon: real runs use the NRC word-emotion association
 # lexicon (~14k words), but four entries are enough to see the mechanics.

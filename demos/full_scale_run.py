@@ -27,8 +27,8 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from tagflow import MetricsReport
 from tagflow.cli import main as tagflow
+from tagflow.metrics import MetricsReport
 
 VARIANTS = ("cnn_fe", "cnn_cw")
 

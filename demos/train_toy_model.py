@@ -18,12 +18,12 @@ from tagflow import (
     build_model,
     build_vocabulary,
     encode_records,
-    evaluate_loss,
     load_stopwords,
     predict_top_k,
     train,
 )
 from tagflow.corpus import SynopsisRecord, Split
+from tagflow.training import evaluate_loss
 
 # 1. a synthetic corpus where each tag owns a few signature words, so a
 # model that learns anything at all can separate them

@@ -445,19 +445,6 @@ def _scatter_add_rows(buf, idx, rows):
         lo = hi
 
 
-def sum_(x, axis=None):
-    out_data = x.data.sum(axis=axis)
-
-    def bwd(g):
-        if x.requires_grad:
-            if axis is None:
-                _grad_buffer(x)[...] += g
-            else:
-                _grad_buffer(x)[...] += np.expand_dims(g, axis)
-
-    return _make(np.asarray(out_data), (x,), bwd)
-
-
 def softmax_last_axis(x):
     d = x.data
     shifted = d - d.max(axis=-1, keepdims=True)

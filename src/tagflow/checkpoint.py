@@ -101,8 +101,21 @@ def _class_weights(path, meta):
     return ClassWeights(n_examples=cw["n_examples"], tag_counts=tuple(cw["tag_counts"]))
 
 
-def _check_widths(path, config, vocab, tag_vocab, class_weights):
-    """The stored vocabularies and class weights must fit the model's widths."""
+def _check_vocabularies(path, config, vocab, tag_vocab, class_weights):
+    """The stored vocabularies and class weights must fit the model's widths.
+
+    The tags must ascend strictly, since ``TagVocabulary`` sorts them and an
+    output column's tag is its place in that order; no word may repeat.
+    """
+    for i in range(1, len(tag_vocab or ())):
+        if tag_vocab[i - 1] >= tag_vocab[i]:
+            raise DataError(f"{path}: checkpoint 'tag_vocab' must ascend strictly, "
+                            f"but entry {i} '{tag_vocab[i]}' follows '{tag_vocab[i - 1]}'")
+    if vocab is not None and len(set(vocab)) < len(vocab):
+        first = {}
+        for i, word in enumerate(vocab):
+            if first.setdefault(word, i) != i:
+                raise DataError(f"{path}: checkpoint 'vocab' entry {i} '{word}' repeats entry {first[word]}")
     if vocab is not None and len(vocab) > config.vocab_size:
         raise DataError(f"{path}: checkpoint 'vocab' holds {len(vocab)} words, "
                         f"more than vocab_size {config.vocab_size}")
@@ -150,7 +163,7 @@ def load_checkpoint(path):
             if not set(stored) <= set(ModelConfig.__dataclass_fields__):
                 raise ConfigError(f"{path}: {e}") from None  # unknown keys stay config errors
             raise DataError(f"{path}: malformed model config: {e}") from None
-        _check_widths(path, config, vocab, tag_vocab, class_weights)
+        _check_vocabularies(path, config, vocab, tag_vocab, class_weights)
         params = model.parameters()
         names = [entry["name"] for entry in manifest]
         if set(names) != set(params):

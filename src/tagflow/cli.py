@@ -160,6 +160,8 @@ def _check_ks(ks, n_tags):
 def _read_input_texts(args):
     """(movie_id, text) pairs from --text or --input (TSV id<TAB>text or raw lines)."""
     if args.text is not None:
+        if not args.text.strip():
+            raise ConfigError("--text is blank")
         return [("input-1", args.text)]
     if args.input:
         pairs = []
@@ -171,6 +173,8 @@ def _read_input_texts(args):
                     continue
                 if "\t" in line:
                     movie_id, _, text = line.partition("\t")
+                    if not text.strip():
+                        raise DataError(f"{args.input}: line {i}: movie '{movie_id}' has a blank text")
                 else:
                     movie_id, text = f"input-{i}", line
                 if movie_id in first_line:

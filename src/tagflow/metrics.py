@@ -135,20 +135,6 @@ def baseline_random(tag_vocab, movie_ids, k, seed):
     }
 
 
-def expected_random_micro_f1(truths, n_tags, k):
-    """Closed-form expectation of micro_f1 under the random baseline.
-
-    Each truth tag is predicted with probability k / n_tags, so expected
-    pooled TP is (k / n_tags) * total truths, while TP + FP = N * k and
-    TP + FN = total truths are constants; micro F1 = 2 TP / ((TP + FP) +
-    (TP + FN)) is linear in TP, making the expectation exact.
-    """
-    total_truths = sum(len(tags) for tags in truths.values())
-    expected_tp = (k / n_tags) * total_truths
-    denom = len(truths) * k + total_truths
-    return 2.0 * expected_tp / denom if denom else 0.0
-
-
 def recall_delta(report_a, report_b):
     """Per-tag recall differences a - b, largest magnitude first (stable)."""
     if list(report_a.tags) != list(report_b.tags):

@@ -17,8 +17,9 @@ RHO = 0.9
 #: Added to the root of that average before it divides the gradient.
 EPS = 1e-8
 
-#: Elements per block of ``RmsProp.step``: each block runs the whole update
-#: through two scratch buffers of this length, which stay in cache.
+#: Elements per block of ``RmsProp.step``: each block is checked through one
+#: boolean scratch buffer of this length and updated through two more, all of
+#: which stay in cache.
 BLOCK = 32 * 1024
 
 
@@ -29,9 +30,10 @@ class RmsProp:
     tensor's accumulated gradient and mutates its values in place.  A
     non-finite gradient aborts the step before any parameter is touched.
 
-    A step runs the update rule in blocks of ``BLOCK`` elements, with the
-    operations in the rule's order, so it allocates no full-size temporaries
-    and gives the same bits as the rule applied to whole arrays.
+    A step checks the gradients and then runs the update rule in blocks of
+    ``BLOCK`` elements, with the operations in the rule's order, so it
+    allocates no full-size temporaries and gives the same bits as the rule
+    applied to whole arrays.
     """
 
     def __init__(self, params, lr=1e-4):
@@ -39,6 +41,7 @@ class RmsProp:
         self.lr = float(lr)
         self.square_avg = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in self.params.items()}
         self._scratch = {}
+        self._finite = np.empty(BLOCK, bool)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -47,14 +50,15 @@ class RmsProp:
     def step(self):
         grads = {}
         for name, p in self.params.items():
-            g = p.grad
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter '{name}'; step aborted")
-            grads[name] = g
+            g = grads[name] = p.grad.reshape(-1)
+            for lo in range(0, g.size, BLOCK):
+                gb = g[lo:lo + BLOCK]
+                if not np.isfinite(gb, out=self._finite[:gb.size]).all():
+                    raise NumericError(f"non-finite gradient for parameter '{name}'; step aborted")
         for name, p in self.params.items():
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
-            x, v, g = p.data.reshape(-1), self.square_avg[name].reshape(-1), grads[name].reshape(-1)
+            x, v, g = p.data.reshape(-1), self.square_avg[name].reshape(-1), grads[name]
             if x.dtype not in self._scratch:
                 self._scratch[x.dtype] = np.empty((2, BLOCK), x.dtype)
             a, b = self._scratch[x.dtype]

@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 
-from tagflow.autodiff import add, concat, constant, mul, tanh
+from tagflow.autodiff import add, concat, constant, matmul, mul, reshape, tanh
 from tagflow.corpus import Split, SynopsisRecord
 from tagflow.emotion import EMOTIONS, EmotionLexicon, segment_words
 from tagflow.errors import DataError, open_text
@@ -196,6 +196,12 @@ def random_metric_instance(rng, max_movies=10, max_tags=10):
         n_truth = int(rng.integers(0, n_tags + 1))
         truths[movie] = {vocab[i] for i in rng.choice(n_tags, size=n_truth, replace=False)}
     return preds, truths, vocab
+
+
+def total(x):
+    """The sum of ``x``'s entries as a 0-d tape node: its flat row times a ones column."""
+    row = reshape(x, (1, x.data.size))
+    return reshape(matmul(row, constant(np.ones((x.data.size, 1)), dtype=x.dtype)), ())
 
 
 def _sigmoid_graph(x):

@@ -26,8 +26,9 @@ from helpers import (
     brute_force_tag_recall,
     brute_force_tags_learned,
     random_metric_instance,
+    total,
 )
-from tagflow.autodiff import Tensor, constant, gradcheck, kl_divergence, mul, sum_
+from tagflow.autodiff import Tensor, constant, gradcheck, kl_divergence, mul
 from tagflow.checkpoint import load_checkpoint, save_checkpoint
 from tagflow.corpus import (
     Split,
@@ -144,7 +145,7 @@ def test_criterion_3_gradient_verification():
     rng = np.random.default_rng(5)
     bank = ConvBank((2, 3), 3, 4, rng, dtype=np.float64)
     x = constant(rng.standard_normal((7, 4)))
-    gradcheck(lambda: sum_(conv_bank_forward(x, bank, tokens=np.arange(1, 8))),
+    gradcheck(lambda: total(conv_bank_forward(x, bank, tokens=np.arange(1, 8))),
               list(bank.parameters().values()), np.random.default_rng(0))
 
     # LSTM cell through two steps (state feedback active), in both directions
@@ -154,7 +155,7 @@ def test_criterion_3_gradient_verification():
 
     def lstm_loss():
         states, final = bilstm_forward(two_steps, cell, cell)
-        return sum_(states) + sum_(final)
+        return total(states) + total(final)
 
     gradcheck(lstm_loss, list(cell.parameters().values()), np.random.default_rng(1), samples=4)
 
@@ -166,7 +167,7 @@ def test_criterion_3_gradient_verification():
 
     def bilstm_loss():
         states, final = bilstm_forward(flow, fwd, bwd)
-        return sum_(states) + sum_(final)
+        return total(states) + total(final)
 
     gradcheck(bilstm_loss, list(fwd.parameters().values()) + list(bwd.parameters().values()),
               np.random.default_rng(2), samples=3)
@@ -178,7 +179,7 @@ def test_criterion_3_gradient_verification():
 
     def attention_loss():
         r, _ = attention_forward(states, attn)
-        return sum_(mul(r, r))
+        return total(mul(r, r))
 
     gradcheck(attention_loss, list(attn.parameters().values()), np.random.default_rng(3))
 
@@ -187,7 +188,7 @@ def test_criterion_3_gradient_verification():
     hidden = Dense(5, 3, rng, activation="relu", dtype=np.float64)
     out = Dense(3, 2, rng, activation="identity", dtype=np.float64)
     xd = constant(rng.standard_normal((1, 5)))
-    gradcheck(lambda: sum_(out.forward(hidden.forward(xd))),
+    gradcheck(lambda: total(out.forward(hidden.forward(xd))),
               list(hidden.parameters().values()) + list(out.parameters().values()),
               np.random.default_rng(4))
 

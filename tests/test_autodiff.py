@@ -7,6 +7,9 @@ constructed away from their kinks so the numeric oracle is valid.
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import re
 import tracemalloc
 from pathlib import Path
@@ -15,6 +18,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tagflow
+from helpers import total
 from tagflow import autodiff
 from tagflow.autodiff import (
     Tape,
@@ -32,7 +37,6 @@ from tagflow.autodiff import (
     relu,
     reshape,
     softmax_last_axis,
-    sum_,
     tanh,
     window_matrix,
     window_max,
@@ -67,7 +71,7 @@ class TestTensorBasics:
 
     def test_backward_without_tape_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        y = sum_(relu(x))  # no tape active: nothing recorded
+        y = total(relu(x))  # no tape active: nothing recorded
         with pytest.raises(ValueError, match="tape"):
             backward(y)
 
@@ -106,7 +110,7 @@ class TestHandGradients:
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
         x = constant(rng.normal(size=(4, 1)).astype(np.float64))
         with Tape():
-            loss = sum_(matmul(w, x))
+            loss = total(matmul(w, x))
         backward(loss)
         expected = np.tile(x.data.reshape(1, 4), (3, 1))
         npt.assert_allclose(w.grad, expected, rtol=1e-12)
@@ -121,7 +125,7 @@ class TestHandGradients:
     def test_gradients_accumulate_when_tensor_reused(self):
         x = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)
         with Tape():
-            loss = sum_(mul(x, x))
+            loss = total(mul(x, x))
         backward(loss)
         npt.assert_allclose(x.grad, [6.0])
 
@@ -136,7 +140,7 @@ class TestHandGradients:
         expected = w._grad.copy()
         expected += x.data.T @ g
         with Tape():
-            loss = sum_(mul(matmul(x, w), constant(g)))
+            loss = total(mul(matmul(x, w), constant(g)))
         backward(loss)
         assert w._grad.dtype == dtype
         assert w._grad.tobytes() == expected.tobytes()
@@ -145,7 +149,7 @@ class TestHandGradients:
         x = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         unused = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         with Tape():
-            loss = sum_(mul(x, x))
+            loss = total(mul(x, x))
         backward(loss)
         npt.assert_array_equal(unused.grad, np.zeros(2))
 
@@ -156,59 +160,53 @@ class TestFiniteDifferenceOracle:
     def test_matmul(self):
         rng = np.random.default_rng(3)
         a, b = _p(rng, 3, 4), _p(rng, 4, 2)
-        gradcheck(lambda: sum_(matmul(a, b)), [a, b], samples=8)
+        gradcheck(lambda: total(matmul(a, b)), [a, b], samples=8)
 
     def test_add_with_broadcasting(self):
         rng = np.random.default_rng(4)
         a, b = _p(rng, 3, 4), _p(rng, 1, 4)
-        gradcheck(lambda: sum_(mul(add(a, b), add(a, b))), [a, b], samples=8)
+        gradcheck(lambda: total(mul(add(a, b), add(a, b))), [a, b], samples=8)
 
     def test_mul_with_broadcasting(self):
         rng = np.random.default_rng(6)
         a, b = _p(rng, 3, 4), _p(rng, 1, 4)
-        gradcheck(lambda: sum_(mul(a, b)), [a, b], samples=8)
+        gradcheck(lambda: total(mul(a, b)), [a, b], samples=8)
 
     @pytest.mark.parametrize("op", [tanh, relu])
     def test_elementwise_activations(self, op):
         rng = np.random.default_rng(7)
         x = _p(rng, 4, 5)  # bounded away from relu's kink
-        gradcheck(lambda: sum_(op(x)), [x], samples=8)
+        gradcheck(lambda: total(op(x)), [x], samples=8)
 
     def test_concat_both_axes(self):
         rng = np.random.default_rng(10)
         a, b = _p(rng, 2, 3), _p(rng, 2, 2)
-        gradcheck(lambda: sum_(mul(concat([a, b], axis=-1), concat([a, b], axis=-1))), [a, b], samples=8)
+        gradcheck(lambda: total(mul(concat([a, b], axis=-1), concat([a, b], axis=-1))), [a, b], samples=8)
         c, d = _p(rng, 2, 3), _p(rng, 1, 3)
-        gradcheck(lambda: sum_(mul(concat([c, d], axis=0), concat([c, d], axis=0))), [c, d], samples=8)
+        gradcheck(lambda: total(mul(concat([c, d], axis=0), concat([c, d], axis=0))), [c, d], samples=8)
 
     def test_reshape(self):
         rng = np.random.default_rng(12)
         x = _p(rng, 2, 6)
-        gradcheck(lambda: sum_(mul(reshape(x, (3, 4)), reshape(x, (3, 4)))), [x], samples=8)
-
-    def test_sum_all_and_axis(self):
-        rng = np.random.default_rng(14)
-        x = _p(rng, 3, 4)
-        gradcheck(lambda: sum_(mul(x, x)), [x], samples=6)
-        gradcheck(lambda: sum_(mul(sum_(x, axis=0), sum_(x, axis=0))), [x], samples=6)
+        gradcheck(lambda: total(mul(reshape(x, (3, 4)), reshape(x, (3, 4)))), [x], samples=8)
 
     def test_softmax_last_axis(self):
         rng = np.random.default_rng(15)
         x = _p(rng, 2, 5)
         w = constant(rng.normal(size=(2, 5)))
-        gradcheck(lambda: sum_(mul(softmax_last_axis(x), w)), [x], samples=10)
+        gradcheck(lambda: total(mul(softmax_last_axis(x), w)), [x], samples=10)
 
     def test_embedding_gather_with_repeats(self):
         rng = np.random.default_rng(16)
         table = _p(rng, 6, 3)
         idx = np.array([0, 2, 2, 5, 0])
-        gradcheck(lambda: sum_(mul(embedding_gather(table, idx), embedding_gather(table, idx))), [table], samples=10)
+        gradcheck(lambda: total(mul(embedding_gather(table, idx), embedding_gather(table, idx))), [table], samples=10)
 
     def test_dropout_with_fixed_stream(self):
         rng = np.random.default_rng(17)
         x = _p(rng, 4, 4)
         # the mask must be identical on every call for the oracle to hold
-        gradcheck(lambda: sum_(dropout(x, 0.5, np.random.default_rng(99))), [x], samples=8)
+        gradcheck(lambda: total(dropout(x, 0.5, np.random.default_rng(99))), [x], samples=8)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_small_graph(self, seed):
@@ -219,7 +217,7 @@ class TestFiniteDifferenceOracle:
             h = tanh(matmul(a, b))
             h = add(h, c)
             s = softmax_last_axis(h)
-            return sum_(mul(s, tanh(h)))
+            return total(mul(s, tanh(h)))
 
         gradcheck(fn, [a, b, c], samples=6)
 
@@ -228,7 +226,7 @@ class TestFiniteDifferenceOracle:
         x = _p(rng, 6, 3)
         w = constant(rng.normal(size=(9, 2)))
         # every row of x sits in up to three windows, so the folds must add
-        gradcheck(lambda: sum_(mul(matmul(windows(x, 3), w), matmul(windows(x, 3), w))), [x], samples=18)
+        gradcheck(lambda: total(mul(matmul(windows(x, 3), w), matmul(windows(x, 3), w))), [x], samples=18)
 
     def test_window_max_pool(self):
         rng = np.random.default_rng(22)
@@ -239,7 +237,7 @@ class TestFiniteDifferenceOracle:
         top2 = np.sort(scores, axis=0)[-2:]
         assert (top2[1] - top2[0]).min() > 0.05 and (top2[1] + b.data[0]).min() > 0.05  # off the kinks
         g = constant(rng.normal(size=4))
-        gradcheck(lambda: sum_(mul(window_max_pool(windows(x, 3), w, b, (x.data, np.arange(7))), g)), [x, w, b],
+        gradcheck(lambda: total(mul(window_max_pool(windows(x, 3), w, b, (x.data, np.arange(7))), g)), [x, w, b],
                   samples=14)
 
 
@@ -253,7 +251,7 @@ def _pool(xw, w, b, g):
     b = Tensor(np.asarray(b, dtype=np.float64).reshape(1, -1), requires_grad=True, dtype=np.float64)
     with Tape():
         out = window_max_pool(xw, w, b, (xw.data, np.arange(xw.data.shape[0])))
-        loss = sum_(mul(out, constant(np.asarray(g, dtype=np.float64))))
+        loss = total(mul(out, constant(np.asarray(g, dtype=np.float64))))
     backward(loss)
     return out.data, xw.grad, w.grad, b.grad
 
@@ -268,7 +266,7 @@ class TestWindows:
     def test_windows_fold_gradient_back_onto_rows(self):
         x = Tensor(np.zeros((4, 2)), requires_grad=True, dtype=np.float64)
         with Tape():
-            loss = sum_(windows(x, 3))
+            loss = total(windows(x, 3))
         backward(loss)
         # row t sits in min(t + 1, 4 - t, 2) of the two windows
         npt.assert_array_equal(x.grad, [[1, 1], [2, 2], [2, 2], [1, 1]])
@@ -499,7 +497,7 @@ class TestEmbeddingGather:
         idx = np.r_[np.zeros(200, dtype=np.intp), rng.integers(0, 1000, 800), 999]
         g = rng.standard_normal((idx.size, 300)).astype(np.float32)
         with Tape():
-            loss = sum_(mul(embedding_gather(table, idx), constant(g)))
+            loss = total(mul(embedding_gather(table, idx), constant(g)))
         backward(loss)
         expected = np.zeros_like(table.data)
         np.add.at(expected, idx, g)
@@ -628,3 +626,28 @@ def test_readme_primitive_list_matches_the_engine():
     assert len(names) == int(match.group(1))
     for name in names:
         assert callable(getattr(autodiff, name, None)), name
+
+
+def test_package_exports_what_readme_documents():
+    """``tagflow.__all__`` resolves and README's Library section names each of
+    its names; that section's code and every demo import only what exists, and
+    from ``tagflow`` itself only exported names and submodules."""
+    root = Path(__file__).resolve().parents[1]
+    for name in tagflow.__all__:
+        getattr(tagflow, name)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    for name in tagflow.__all__:
+        assert re.search(rf"\b{name}\b", library), name
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    sources = {"README.md": code, **{p.name: p.read_text(encoding="utf-8") for p in sorted((root / "demos").glob("*.py"))}}
+    assert "full_scale_run.py" in sources
+    for source, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "tagflow":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(module, alias.name, None)
+                    assert value is not None, (source, node.module, alias.name)
+                    if module is tagflow:
+                        assert alias.name in tagflow.__all__ or inspect.ismodule(value), (source, alias.name)

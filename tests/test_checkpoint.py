@@ -278,6 +278,19 @@ class TestCorruptionDetection:
         assert main(["predict", "--checkpoint", str(saved), "--k", "1", "--text", "x"]) == 2
         assert str(saved) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, mutate, message", [
+        ("tag_vocab", lambda tags: tags.__setitem__(1, tags[0]), "entry 1 'tag0' follows 'tag0'"),
+        ("tag_vocab", lambda tags: tags.__setitem__(slice(1, 3), tags[2:0:-1]), "entry 2 'tag1' follows 'tag2'"),
+        ("vocab", lambda words: words.__setitem__(3, words[1]), "entry 3 'word1' repeats entry 1"),
+    ], ids=["repeated-tag", "swapped-tags", "repeated-word"])
+    def test_misordered_or_repeated_vocabulary_exits_2_naming_the_entry(self, saved, key, mutate, message,
+                                                                        capsys):
+        # tags out of order would put the wrong tag on each output column
+        rewrite_metadata(saved, lambda meta: mutate(meta[key]))
+        assert main(["predict", "--checkpoint", str(saved), "--k", "3", "--text", "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"{saved}: checkpoint '{key}'" in err and message in err
+
     def test_manifest_larger_than_the_file_exits_2_before_allocating(self, saved, capsys):
         # 10**15 rows of 5 floats is more than any address space holds, so
         # only a size check made before allocating can report it

@@ -99,6 +99,30 @@ class TestArgumentHandling:
         assert status == 1
         assert "error: argument --input: not allowed with argument --text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "  \t "], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("command", ["predict", "emotion-flow"])
+    def test_blank_text_exits_1(self, command, text, workspace, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        flags = ["--checkpoint", workspace.fe_ckpt, "--k", "2"] if command == "predict" else []
+        status = main([command, *flags, "--lexicon", workspace.lexicon, "--text", text, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert "--text is blank" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["m1\t", "m1\t   "], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("command", ["predict", "emotion-flow"])
+    def test_blank_input_text_exits_2_naming_the_line(self, command, line, workspace, tmp_path, capsys):
+        batch = tmp_path / "batch.tsv"
+        batch.write_text(f"\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        flags = ["--checkpoint", workspace.fe_ckpt, "--k", "2"] if command == "predict" else []
+        status = main([command, *flags, "--lexicon", workspace.lexicon, "--input", str(batch), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert f"{batch}: line 2: movie 'm1' has a blank text" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_and_adapted_config(self, workspace):
@@ -803,13 +827,6 @@ class TestEmotionFlowCommand:
                        "--text", golden_synopsis, "--out", str(out)])
         assert status == 0
         assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
-
-    def test_empty_text_yields_all_zero_rows(self, synthetic_lexicon_path, capsys):
-        status = main(["emotion-flow", "--lexicon", str(synthetic_lexicon_path), "--text", ""])
-        assert status == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 21
-        assert all(line.split(",", 1)[1] == ",".join(["0"] * 10) for line in lines[1:])
 
     def test_custom_segment_count(self, synthetic_lexicon_path, capsys):
         status = main(["emotion-flow", "--lexicon", str(synthetic_lexicon_path),

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import make_record, reference_bilstm
+from helpers import make_record, reference_bilstm, total
 from tagflow import layers
 from tagflow.autodiff import (
     Tape,
@@ -18,7 +18,6 @@ from tagflow.autodiff import (
     constant,
     gradcheck,
     mul,
-    sum_,
     window_max_pool,
 )
 from tagflow.corpus import TagVocabulary
@@ -75,7 +74,7 @@ class TestEmbedding:
     def test_gradient_reaches_gathered_rows(self):
         emb = Embedding(6, 3, np.random.default_rng(0), dtype=np.float64)
         indices = np.array([2, 4, 2])
-        gradcheck(lambda: sum_(emb.lookup(indices)), [emb.table])
+        gradcheck(lambda: total(emb.lookup(indices)), [emb.table])
 
 
 def _left_padded(seq_len, n_real):
@@ -140,7 +139,7 @@ class TestConvBank:
         bank = ConvBank((2, 3), 3, 4, rng, dtype=np.float64)
         x = constant(rng.standard_normal((7, 4)))
         params = list(bank.parameters().values())
-        gradcheck(lambda: sum_(conv_bank_forward(x, bank, tokens=np.arange(1, 8))), params, np.random.default_rng(0))
+        gradcheck(lambda: total(conv_bank_forward(x, bank, tokens=np.arange(1, 8))), params, np.random.default_rng(0))
 
     def test_gradcheck_through_the_embedded_input(self):
         rng = np.random.default_rng(6)
@@ -149,7 +148,7 @@ class TestConvBank:
         g = constant(rng.normal(size=6))
         params = [x, *bank.parameters().values()]
         # every row its own token: perturbing one copy of a repeated token would break the contract
-        gradcheck(lambda: sum_(mul(conv_bank_forward(x, bank, tokens=np.arange(1, 8)), g)), params,
+        gradcheck(lambda: total(mul(conv_bank_forward(x, bank, tokens=np.arange(1, 8)), g)), params,
                   np.random.default_rng(0), samples=10)
 
     def test_records_two_tape_nodes_per_filter_width(self):
@@ -169,7 +168,7 @@ class TestConvBank:
         # every window touching a real row scores < 0, so the first all-padding window wins
         with Tape():
             out = conv_bank_forward(x, bank, tokens=[0, 0, 0, 1, 2, 3])
-            loss = sum_(mul(out, constant([3.0, 4.0])))
+            loss = total(mul(out, constant([3.0, 4.0])))
         backward(loss)
         npt.assert_array_equal(out.data, [0.5, 0.0])
         npt.assert_array_equal(bank.biases[2].grad, [[3.0, 0.0]])
@@ -361,7 +360,7 @@ class TestLstmCell:
 
         def loss():
             states, final = bilstm_forward(flow, cell, cell)
-            return sum_(states) + sum_(final)
+            return total(states) + total(final)
 
         gradcheck(loss, list(cell.parameters().values()), np.random.default_rng(1), samples=4)
 
@@ -407,7 +406,7 @@ class TestBilstm:
 
         def loss():
             states, final = bilstm_forward(flow, fwd, bwd)
-            return sum_(states) + sum_(final)
+            return total(states) + total(final)
 
         gradcheck(loss, params, np.random.default_rng(2), samples=3)
 
@@ -439,7 +438,7 @@ class TestFusedBilstm:
             p.zero_grad()
         with Tape():
             states, final = forward(flow, fwd, bwd)
-            loss = sum_(mul(states, constant(coef_states))) + sum_(mul(final, constant(coef_final)))
+            loss = total(mul(states, constant(coef_states))) + total(mul(final, constant(coef_final)))
         backward(loss)
         return states.data, final.data, [p.grad.copy() for p in params]
 
@@ -487,7 +486,7 @@ class TestFusedBilstm:
 
         def loss():
             states, final = bilstm_forward(flow, fwd, bwd)
-            return sum_(states) + sum_(final)
+            return total(states) + total(final)
 
         # a W_s step of h moves a pre-activation by h * |flow|, so shrink h by
         # the flow's scale to keep the central difference's error small
@@ -505,7 +504,7 @@ class TestFusedBilstm:
 
         def loss():
             states, _ = bilstm_forward(flow, fwd, bwd)
-            return sum_(mul(states, states))
+            return total(mul(states, states))
 
         gradcheck(loss, _lstm_params(fwd, bwd), np.random.default_rng(seed))
 
@@ -518,7 +517,7 @@ class TestFusedBilstm:
 
         def loss():
             states, final = bilstm_forward(flow, fwd, bwd)
-            return sum_(mul(states, coef_states)) + sum_(mul(final, coef_final))
+            return total(mul(states, coef_states)) + total(mul(final, coef_final))
 
         gradcheck(loss, _lstm_params(fwd, bwd), np.random.default_rng(15), samples=4)
 
@@ -574,7 +573,7 @@ class TestAttention:
         rng = np.random.default_rng(9)
         layer = Attention(5, 4, rng, dtype=np.float64)
         states = constant(rng.standard_normal((6, 5)))
-        gradcheck(lambda: sum_(attention_forward(states, layer)[0]),
+        gradcheck(lambda: total(attention_forward(states, layer)[0]),
                   list(layer.parameters().values()), np.random.default_rng(3))
 
 
@@ -603,7 +602,7 @@ class TestDense:
         rng = np.random.default_rng(4)
         layer = Dense(5, 3, rng, dtype=np.float64)
         x = constant(rng.standard_normal((1, 5)))
-        gradcheck(lambda: sum_(layer.forward(x)),
+        gradcheck(lambda: total(layer.forward(x)),
                   [layer.weight, layer.bias], np.random.default_rng(4))
 
 

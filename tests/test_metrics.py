@@ -21,7 +21,6 @@ from tagflow.metrics import (
     baseline_most_frequent,
     baseline_random,
     evaluate_predictions,
-    expected_random_micro_f1,
     micro_f1,
     prediction_overlap,
     recall_delta,
@@ -194,28 +193,6 @@ class TestRandomBaseline:
         tv = TagVocabulary(["a", "b", "c"])
         preds = baseline_random(tv, ["m1"], 3, seed=1)
         assert sorted(preds["m1"]) == ["a", "b", "c"]
-
-    def test_expected_micro_f1_matches_simulation(self):
-        tv = TagVocabulary([f"t{i}" for i in range(10)])
-        rng = np.random.default_rng(4)
-        movie_ids = [f"m{i}" for i in range(60)]
-        truths = {
-            m: {tv.tags[i] for i in rng.choice(10, size=int(rng.integers(1, 4)), replace=False)}
-            for m in movie_ids
-        }
-        k = 3
-        scores = [micro_f1(baseline_random(tv, movie_ids, k, seed=s), truths)
-                  for s in range(40)]
-        expected = expected_random_micro_f1(truths, len(tv), k)
-        assert abs(np.mean(scores) - expected) < 0.01
-
-    def test_expected_micro_f1_closed_form_value(self):
-        truths = {"m1": {"a"}, "m2": {"a", "b"}}  # 3 truth pairs
-        # E[tp] = (2/4)*3 = 1.5; denom = 2*2 + 3 = 7
-        npt.assert_allclose(expected_random_micro_f1(truths, 4, 2), 3.0 / 7.0, rtol=1e-15)
-
-    def test_expected_micro_f1_empty(self):
-        assert expected_random_micro_f1({}, 5, 2) == 0.0
 
 
 class TestRecallDelta:

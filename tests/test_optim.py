@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -133,3 +135,19 @@ def test_nan_in_the_last_block_of_the_last_parameter_touches_nothing():
     for name, p in params.items():
         npt.assert_array_equal(p.data, before[name][0])
         npt.assert_array_equal(opt.square_avg[name], before[name][1])
+
+
+def test_a_step_allocates_no_full_size_temporary():
+    # 4M float32 elements are 16 MB, and a boolean mask of them 4 MB
+    n = 4 * 1024 * 1024
+    p = Tensor(np.zeros(n, np.float32), requires_grad=True)
+    p._grad = np.full(n, 0.5, np.float32)
+    opt = RmsProp({"p": p}, lr=1e-3)
+    opt.step()  # the first step allocates the per-dtype scratch
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
