@@ -74,6 +74,16 @@ def tokenize(text):
     return out
 
 
+def has_word(text):
+    """Whether ``tokenize(text)`` finds a token, without tokenizing.
+
+    A piece keeps a token exactly when one of its characters is
+    alphanumeric, and lowercasing keeps a character alphanumeric or not, so
+    the first alphanumeric character decides.
+    """
+    return any(map(str.isalnum, text))
+
+
 def preprocess(text, stopwords):
     """Tokenize and drop stopwords, preserving order."""
     return _drop_stopwords(tokenize(text), stopwords)

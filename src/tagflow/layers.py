@@ -242,49 +242,60 @@ def _stacked_blocks(cells, h):
 
 
 def bilstm_forward(flow, fwd_cell, bwd_cell):
-    """Run both directions over an (N, input_dim) sequence.
+    """Run both directions over a (T, input_dim) sequence, or over an
+    (N, T, input_dim) batch of them while no tape records.
 
-    Returns ``(states, final)`` where ``states`` is (N, 2 * hidden) with row t
-    equal to [forward h_t ; backward h_t], and ``final`` is (1, 2 * hidden)
-    holding each direction's last computed state, i.e. [forward h_N ;
-    backward h_1].
+    Returns ``(states, final)``.  For one sequence ``states`` is (T, 2 * hidden)
+    with row t equal to [forward h_t ; backward h_t], and ``final`` is
+    (1, 2 * hidden) holding each direction's last computed state, i.e.
+    [forward h_T ; backward h_1].  A batch gives (N, T, 2 * hidden) states and
+    (N, 2 * hidden) final states, and each sequence's rows have the bits of
+    its own call.
 
-    Both directions run together on a leading axis of 2, the backward one
-    over the reversed rows, with each cell's gate weights stacked as in
-    ``_stacked_blocks``.  The input projection ``flow @ W_s + b`` is one GEMM
-    before the loop; each step is one (1, 2h) x (2h, 4h) product per
-    direction plus the gate arithmetic.  On a tape the recurrence is one
-    node over the 28 cell parameters whose backward is hand-written BPTT
-    over the gate activations, which only that node keeps, and ``final`` is
-    a second node that adds its gradient into the rows of ``states`` it
-    copied.
+    Both directions run together on one leading axis, the backward one over
+    the reversed rows, with each cell's gate weights stacked as in
+    ``_stacked_blocks``; a batch puts the 2N rows of its N sequences on that
+    axis, so its T steps run once for all of them.  The input projection
+    ``flow @ W_s + b`` is one product per sequence and direction before the
+    loop; each step is one (1, 2h) x (2h, 4h) product per row of the axis
+    plus the gate arithmetic.  Those are the products of one-sequence calls,
+    stacked, which is why a batch keeps each sequence's bits.  On a tape the
+    recurrence is one node over the 28 cell parameters whose backward is
+    hand-written BPTT over the gate activations, which only that node keeps,
+    and ``final`` is a second node that adds its gradient into the rows of
+    ``states`` it copied.
     """
     flow = np.asarray(flow)
-    n_steps = flow.shape[0]
-    if n_steps < 1:
-        raise ValueError("bilstm_forward requires at least one timestep")
+    batched = flow.ndim == 3
     h, dim, dtype = fwd_cell.hidden_dim, fwd_cell.input_dim, fwd_cell.dtype
-    if (bwd_cell.hidden_dim, bwd_cell.input_dim) != (h, dim) or flow.shape[1:] != (dim,):
+    if (bwd_cell.hidden_dim, bwd_cell.input_dim) != (h, dim) or flow.ndim not in (2, 3) or flow.shape[-1] != dim:
         raise ValueError(
             f"bilstm_forward shape mismatch: flow {flow.shape}, cells "
             f"{fwd_cell.input_dim}->{fwd_cell.hidden_dim} and {bwd_cell.input_dim}->{bwd_cell.hidden_dim}"
         )
+    n_seqs, n_steps = flow.shape[:-1] if batched else (1, flow.shape[0])
+    if n_steps < 1 or n_seqs < 1:
+        raise ValueError("bilstm_forward requires at least one sequence of at least one timestep")
     blocks = list(_stacked_blocks((fwd_cell, bwd_cell), h))
     params = [p for p, _, _ in blocks]
+    if batched and recording(*params):
+        raise ValueError("a batch of flows records no gradient; run one sequence per call while a tape records")
     stacked = (np.empty((2, dim, 4 * h), dtype), np.zeros((2, 2 * h, 4 * h), dtype),
                np.empty((2, 1, 4 * h), dtype))
     for p, m, where in blocks:
         stacked[m][where] = p.data
     w_s, w_rec, bias = stacked
 
-    x = flow.astype(dtype, copy=False)
-    xs = np.stack([x, x[::-1]])                            # (2, N, d) in step order
-    pre = np.matmul(xs, w_s) + bias                        # (2, N, 4h)
-    hc = np.zeros((2, n_steps + 1, 2 * h), dtype)          # [h ; c] before step k is hc[:, k]
-    gates = np.empty((2, n_steps, 4 * h), dtype)           # i, f, o, candidate after activation
-    tanh_c = np.empty((2, n_steps, h), dtype)
+    # Row 2n + d of the leading axis is sequence n in direction d.
+    x = flow.astype(dtype, copy=False).reshape(n_seqs, n_steps, dim)
+    xs = np.stack([x, x[:, ::-1]], axis=1)                 # (N, 2, T, d) in step order
+    pre = (np.matmul(xs, w_s) + bias).reshape(2 * n_seqs, n_steps, 4 * h)
+    w_rows = np.tile(w_rec, (n_seqs, 1, 1)) if batched else w_rec
+    hc = np.zeros((2 * n_seqs, n_steps + 1, 2 * h), dtype)  # [h ; c] before step k is hc[:, k]
+    gates = np.empty((2 * n_seqs, n_steps, 4 * h), dtype)   # i, f, o, candidate after activation
+    tanh_c = np.empty((2 * n_seqs, n_steps, h), dtype)
     for k in range(n_steps):
-        z = pre[:, k:k + 1] + np.matmul(hc[:, k:k + 1], w_rec)
+        z = pre[:, k:k + 1] + np.matmul(hc[:, k:k + 1], w_rows)
         a = gates[:, k:k + 1]
         a[..., :3 * h] = _sigmoid(z[..., :3 * h])
         a[..., 3 * h:] = np.tanh(z[..., 3 * h:])
@@ -293,7 +304,11 @@ def bilstm_forward(flow, fwd_cell, bwd_cell):
         t = tanh_c[:, k:k + 1]
         np.tanh(c, out=t)
         np.multiply(a[..., 2 * h:3 * h], t, out=hc[:, k + 1:k + 2, :h])
-    states_data = np.concatenate([hc[0, 1:, :h], hc[1, :0:-1, :h]], axis=1)
+    states_data = np.concatenate([hc[0::2, 1:, :h], hc[1::2, :0:-1, :h]], axis=-1)
+    final_data = np.concatenate([states_data[:, -1, :h], states_data[:, 0, h:]], axis=-1)
+    if batched:
+        return constant(states_data), constant(final_data)
+    states_data, xs = states_data[0], xs[0]
 
     def bwd(g):
         dh_out = np.stack([g[:, :h], g[::-1, h:]])         # (2, N, h) in step order
@@ -323,7 +338,6 @@ def bilstm_forward(flow, fwd_cell, bwd_cell):
                 _grad_buffer(p)[...] += grads[m][where]
 
     states = _make(states_data, params, bwd)
-    final_data = np.concatenate([states_data[-1:, :h], states_data[:1, h:]], axis=1)
 
     def final_bwd(g):
         buf = _grad_buffer(states)

@@ -11,9 +11,9 @@ Variants:
 * ``cnn_fe_pretrained``  -- ``cnn_fe`` with the embedding table seeded from
                             a pretrained word-vector file.
 
-The classifier input is the concatenation [conv features | attention
-vector | final Bi-LSTM states], feeding two relu layers with dropout and
-a softmax output layer.
+The classifier input (the trunk) is the concatenation [conv features |
+attention vector | final Bi-LSTM states], feeding two relu layers with
+dropout and a softmax output layer.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ CLASS_WEIGHTED_VARIANTS = ("cnn_cw", "cnn_fe", "cnn_fe_pretrained")
 #: Largest ``seq_len`` and ``n_segments``. Every input is encoded to that many
 #: rows, so a larger value fails validation rather than the first encode.
 MAX_INPUT_ROWS = 10**6
+
+#: Flows per Bi-LSTM call in ``TagModel.flow_features``. Past a few dozen
+#: flows a call's time grows with N, so larger batches would only hold more
+#: activations and weight copies (~50 KB per flow at 16 LSTM units).
+FLOW_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,7 @@ class TagModel:
             feature_dim += 2 * state_dim  # attention vector + final states
         else:
             self.lstm_fwd = self.lstm_bwd = self.attention = None
+        self.trunk_dim = feature_dim
         self.dense = []
         in_dim = feature_dim
         for width in config.dense_sizes:
@@ -187,7 +193,44 @@ class TagModel:
         """The conv bank's pooled features of one token sequence, taped exactly when a tape records."""
         return conv_bank_forward(self.embedding.lookup(tokens), self.conv, tokens=tokens)
 
-    def forward(self, tokens, flow=None, dropout_rng=None, *, conv=None):
+    def flow_features(self, flows):
+        """The flow branch's features of many emotion flows at once, recording nothing.
+
+        ``flows`` holds (n_segments, 10) matrices; row i of the
+        (len(flows), 4 * lstm_units) result is [attention vector | final
+        states] of flow i, with the bits that ``forward`` computes for it.
+        The Bi-LSTM runs over up to ``FLOW_BATCH`` flows per call.
+        """
+        if not self.config.uses_flow:
+            raise ValueError(f"variant '{self.config.variant}' has no emotion flow branch")
+        flows = np.asarray(flows)
+        expected = (self.config.n_segments, len(EMOTIONS))
+        if flows.ndim != 3 or flows.shape[1:] != expected or not len(flows):
+            raise ValueError(f"emotion flows of shape {flows.shape} != (N >= 1, *{expected})")
+        rows = []
+        for lo in range(0, len(flows), FLOW_BATCH):
+            states, final = bilstm_forward(flows[lo:lo + FLOW_BATCH], self.lstm_fwd, self.lstm_bwd)
+            for seq_states, seq_final in zip(states.data, final.data):
+                r, _ = attention_forward(constant(seq_states), self.attention)
+                rows.append(np.concatenate([r.data, seq_final]))
+        return np.stack(rows)
+
+    def trunks(self, inputs):
+        """Yield each ``(tokens, flow)`` pair's classifier input, in order, recording nothing.
+
+        Each is the ``trunk`` that ``forward`` takes.  The flow branch runs
+        over every flow at once (``flow_features``) before the first trunk;
+        the conv runs for one example just before its trunk is yielded, so a
+        caller that drops each trunk after its forwards holds one example's
+        conv features at a time.
+        """
+        inputs = list(inputs)
+        flow_rows = self.flow_features([flow for _, flow in inputs]) if self.config.uses_flow else None
+        for i, (tokens, _) in enumerate(inputs):
+            conv = self.conv_features(tokens).data
+            yield conv if flow_rows is None else np.concatenate([conv, flow_rows[i]])
+
+    def forward(self, tokens, flow=None, dropout_rng=None, *, trunk=None):
         """Probability vector over tags for one encoded example.
 
         ``tokens`` is the (seq_len,) index sequence; ``flow`` is the
@@ -196,9 +239,10 @@ class TagModel:
         their output cannot depend on it).  Dropout follows each hidden
         dense layer exactly when ``dropout_rng`` is given.
 
-        ``conv`` is the example's ``conv_features(tokens).data``, for a
-        forward that records nothing: with it, the embedding lookup and the
-        conv bank are skipped, and the result has the same bits.
+        ``trunk`` is the example's (trunk_dim,) classifier input, as
+        ``trunks`` yields it, for a forward that records nothing: with it
+        only the dense head runs, and the result has the bits of a full
+        forward.
         """
         tokens = np.asarray(tokens)
         if tokens.shape != (self.config.seq_len,):
@@ -213,21 +257,21 @@ class TagModel:
         elif flow is not None:
             raise ValueError(f"variant '{self.config.variant}' does not take an emotion flow input")
 
-        if conv is None:
+        if trunk is None:
             features = [self.conv_features(tokens)]
+            if self.config.uses_flow:
+                states, final = bilstm_forward(flow.astype(self.dtype), self.lstm_fwd, self.lstm_bwd)
+                r, _ = attention_forward(states, self.attention)
+                features.append(r)
+                features.append(reshape(final, (-1,)))
+            x = reshape(concat(features, axis=-1), (1, -1))
         else:
-            if recording(self.embedding.table, *self.conv.parameters().values()):
-                raise ValueError("precomputed conv features carry no gradient; pass conv only when no tape records")
-            conv = np.asarray(conv)
-            if conv.shape != (self.conv.output_dim,):
-                raise ValueError(f"conv features of shape {conv.shape} != ({self.conv.output_dim},)")
-            features = [constant(conv, dtype=self.dtype)]
-        if self.config.uses_flow:
-            states, final = bilstm_forward(flow.astype(self.dtype), self.lstm_fwd, self.lstm_bwd)
-            r, _ = attention_forward(states, self.attention)
-            features.append(r)
-            features.append(reshape(final, (-1,)))
-        x = reshape(concat(features, axis=-1), (1, -1))
+            if recording(*self.parameters().values()):
+                raise ValueError("a precomputed trunk carries no gradient; pass trunk only when no tape records")
+            trunk = np.asarray(trunk)
+            if trunk.shape != (self.trunk_dim,):
+                raise ValueError(f"trunk of shape {trunk.shape} != ({self.trunk_dim},)")
+            x = constant(trunk.reshape(1, -1), dtype=self.dtype)
         for layer in self.dense:
             x = layer.forward(x)
             if dropout_rng is not None:

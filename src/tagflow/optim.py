@@ -33,7 +33,8 @@ class RmsProp:
     A step checks the gradients and then runs the update rule in blocks of
     ``BLOCK`` elements, with the operations in the rule's order, so it
     allocates no full-size temporaries and gives the same bits as the rule
-    applied to whole arrays.
+    applied to whole arrays.  A parameter that backward never reached has a
+    zero gradient: its square average only decays, and it does not move.
     """
 
     def __init__(self, params, lr=1e-4):
@@ -50,12 +51,18 @@ class RmsProp:
     def step(self):
         grads = {}
         for name, p in self.params.items():
-            g = grads[name] = p.grad.reshape(-1)
+            if p._grad is None:  # backward never reached it: a zero gradient
+                continue
+            g = grads[name] = p._grad.reshape(-1)
             for lo in range(0, g.size, BLOCK):
                 gb = g[lo:lo + BLOCK]
                 if not np.isfinite(gb, out=self._finite[:gb.size]).all():
                     raise NumericError(f"non-finite gradient for parameter '{name}'; step aborted")
         for name, p in self.params.items():
+            if name not in grads:
+                # the rule at g = 0: v <- RHO * v + 0 and p <- p - 0, the same bits
+                self.square_avg[name] *= RHO
+                continue
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
             x, v, g = p.data.reshape(-1), self.square_avg[name].reshape(-1), grads[name]

@@ -76,27 +76,26 @@ class TrainHistory:
                 f.write(json.dumps(asdict(stats)) + "\n")
 
 
-def _example_loss(model, example, weights, dropout_rng=None, conv=None):
+def _example_loss(model, example, weights, dropout_rng=None, trunk=None):
     flow = example.flow if model.config.uses_flow else None
-    probs = model.forward(example.tokens, flow, dropout_rng=dropout_rng, conv=conv)
+    probs = model.forward(example.tokens, flow, dropout_rng=dropout_rng, trunk=trunk)
     return kl_divergence(example.target, probs, weights=weights)
 
 
-def evaluate_loss(model, examples, class_weights=None, *, conv=None):
+def evaluate_loss(model, examples, class_weights=None):
     """Mean per-example KL in evaluation mode (no dropout, no recording).
 
-    ``conv``, when the caller already has them, holds each example's conv
-    features (``TagModel.forward``'s ``conv=``) in order; without it each
-    forward runs its own conv.
+    Each forward takes its example's trunk from ``model.trunks``, so the
+    Bi-LSTM runs once over every example's flow and the conv once per
+    example, with the bits of one full forward per example.
     """
     if not examples:
         raise ValueError("evaluate_loss requires at least one example")
-    if conv is None:
-        conv = [None] * len(examples)
     weights = class_weights.weights if class_weights is not None else None
+    trunks = model.trunks((ex.tokens, ex.flow if model.config.uses_flow else None) for ex in examples)
     total = 0.0
-    for example, row in zip(examples, conv, strict=True):
-        total += float(_example_loss(model, example, weights, conv=row).data)
+    for example, trunk in zip(examples, trunks):
+        total += float(_example_loss(model, example, weights, trunk=trunk).data)
     return total / len(examples)
 
 

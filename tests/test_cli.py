@@ -124,6 +124,31 @@ class TestArgumentHandling:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["predict", "emotion-flow"])
+    def test_text_with_no_word_exits_1(self, command, workspace, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        flags = ["--checkpoint", workspace.fe_ckpt, "--k", "2"] if command == "predict" else ["--n-segments", "2"]
+        status = main([command, *flags, "--lexicon", workspace.lexicon, "--text", "!!! ... -- ?", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert "--text has no word" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, movie", [("m1\t!!! ...", "m1"), ("-- ?!", "input-2")], ids=["tsv", "raw"])
+    @pytest.mark.parametrize("command", ["predict", "emotion-flow"])
+    def test_input_text_with_no_word_exits_2_naming_the_line(self, command, line, movie, workspace, tmp_path,
+                                                             capsys):
+        batch = tmp_path / "batch.tsv"
+        batch.write_text(f"\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        flags = ["--checkpoint", workspace.fe_ckpt, "--k", "2"] if command == "predict" else []
+        status = main([command, *flags, "--lexicon", workspace.lexicon, "--input", str(batch), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert f"{batch}: line 2: movie '{movie}' has no word" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_artifacts_and_adapted_config(self, workspace):
         assert (workspace.fe_dir / "model.ckpt").exists()
@@ -604,10 +629,10 @@ class TestEvaluate:
 
 
 class TestSharedConv:
-    """``evaluate`` runs one conv per test movie and hands it to both the
-    probabilities and the KL; every output must keep the bits of one full
-    forward per pass, and ``predict --input`` those of one ``--text`` run
-    per synopsis."""
+    """``evaluate`` runs one Bi-LSTM over every test movie's flow and one conv
+    per test movie, and hands each movie's trunk to both its probabilities
+    and its KL; every output must keep the bits of one full forward per pass,
+    and ``predict --input`` those of one ``--text`` run per synopsis."""
 
     #: Test synopses of every kind: long and short (padded), repeated words, all
     #: stopwords (all padding), one unknown word throughout, one word after padding.
@@ -624,26 +649,26 @@ class TestSharedConv:
 
     @staticmethod
     def one_forward_per_movie(monkeypatch):
-        """Make every forward run its own lookup and conv, ignoring given features."""
+        """Make every forward run its own lookup, conv and flow branch, ignoring a given trunk."""
         forward = TagModel.forward
-        monkeypatch.setattr(TagModel, "forward", lambda self, tokens, flow=None, dropout_rng=None, *, conv=None:
+        monkeypatch.setattr(TagModel, "forward", lambda self, tokens, flow=None, dropout_rng=None, *, trunk=None:
                             forward(self, tokens, flow, dropout_rng))
 
-    def evaluate(self, workspace, corpus, out):
-        status = main(["evaluate", "--checkpoint", workspace.fe_ckpt, "--corpus", str(corpus),
-                       "--lexicon", workspace.lexicon, "--k", "1,3", "--out", str(out)])
+    def evaluate(self, checkpoint, corpus, out, lexicon):
+        status = main(["evaluate", "--checkpoint", checkpoint, "--corpus", str(corpus),
+                       "--lexicon", lexicon, "--k", "1,3", "--out", str(out)])
         assert status == 0
         return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
-    def test_evaluate_files_equal_the_one_at_a_time_path(self, workspace, toy_corpus_records, tmp_path,
-                                                         monkeypatch, capsys):
+    def check_evaluate(self, checkpoint, uses_flow, workspace, toy_corpus_records, tmp_path, monkeypatch):
         tags = [["murder"], ["romantic"], ["paranormal", "violence"], ["murder", "romantic"], ["violence"],
                 ["western"], ["paranormal"], ["murder", "violence"]]
         records = [*(r for r in toy_corpus_records if r.split is Split.TRAIN),
                    *(make_record(f"y{i}", text, t, split=Split.TEST) for i, (text, t) in enumerate(zip(self.TEXTS, tags)))]
         corpus = write_corpus_csv(tmp_path / "corpus.csv", records)
-        calls = {"conv": 0, "forward": 0}
-        conv_bank_forward, forward = model_module.conv_bank_forward, TagModel.forward
+        calls = {"conv": 0, "bilstm": 0, "forward": 0}
+        conv_bank_forward, bilstm_forward, forward = (model_module.conv_bank_forward, model_module.bilstm_forward,
+                                                      TagModel.forward)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -653,13 +678,22 @@ class TestSharedConv:
 
         with monkeypatch.context() as m:
             m.setattr(model_module, "conv_bank_forward", counted("conv", conv_bank_forward))
+            m.setattr(model_module, "bilstm_forward", counted("bilstm", bilstm_forward))
             m.setattr(TagModel, "forward", counted("forward", forward))
-            shared = self.evaluate(workspace, corpus, tmp_path / "shared")
+            shared = self.evaluate(checkpoint, corpus, tmp_path / "shared", workspace.lexicon)
         # 8 test movies, 7 of them with a training tag and so in the KL
-        assert calls == {"conv": 8, "forward": 15}
+        assert calls == {"conv": 8, "bilstm": int(uses_flow), "forward": 15}
         self.one_forward_per_movie(monkeypatch)
-        assert self.evaluate(workspace, corpus, tmp_path / "alone") == shared
+        assert self.evaluate(checkpoint, corpus, tmp_path / "alone", workspace.lexicon) == shared
         assert len(shared) == 4 and MetricsReport.from_json(shared["metrics_k1.json"].decode()).metadata["mean_kl"] > 0
+
+    def test_evaluate_files_equal_the_one_at_a_time_path(self, workspace, toy_corpus_records, tmp_path,
+                                                         monkeypatch, capsys):
+        self.check_evaluate(workspace.fe_ckpt, True, workspace, toy_corpus_records, tmp_path, monkeypatch)
+
+    def test_flowless_evaluate_files_equal_the_one_at_a_time_path(self, workspace, toy_corpus_records, tmp_path,
+                                                                  monkeypatch, capsys):
+        self.check_evaluate(workspace.cnn_ckpt, False, workspace, toy_corpus_records, tmp_path, monkeypatch)
 
     def test_predict_input_equals_a_text_run_per_synopsis(self, workspace, tmp_path, capsys):
         batch = tmp_path / "batch.tsv"

@@ -23,6 +23,7 @@ from tagflow.corpus import (
     build_vocabulary,
     encode_records,
     encode_synopsis,
+    has_word,
     load_corpus,
     load_stopwords,
     make_target,
@@ -163,6 +164,14 @@ class TestTokenizeAndPreprocess:
         for n in lengths.tolist():
             text = "".join(FUZZ_ALPHABET[next(chars)] for _ in range(n))
             assert tokenize(text) == reference_tokenize(text), repr(text)
+            assert has_word(text) == bool(tokenize(text)), repr(text)
+
+    def test_has_word_agrees_with_tokenize_on_every_character(self):
+        for code in range(sys.maxunicode + 1):
+            if code >= 0x10000 and code % 7:
+                continue  # every seventh code point past the BMP is enough
+            c = chr(code)
+            assert has_word(c) == bool(tokenize(c)) == bool(tokenize(f"!{c}?")), hex(code)
 
 
 class TestVocabulary:

@@ -530,6 +530,44 @@ class TestFusedBilstm:
             bilstm_forward(np.zeros((3, 9), dtype=np.float32), LstmCell(10, 4, rng), LstmCell(10, 4, rng))
 
 
+class TestBatchedBilstm:
+    """A tape-free call over N flows gives each row the bits of its own call."""
+
+    @staticmethod
+    def _flows(kind, n, rng):
+        shape = (n, 20, 10)
+        if kind == "zero":
+            return np.zeros(shape, np.float32)
+        if kind == "one_hot":
+            return (100.0 * np.eye(10)[rng.integers(0, 10, shape[:2])]).astype(np.float32)
+        if kind == "random":
+            return (100.0 * rng.random(shape)).astype(np.float32)
+        return np.repeat((100.0 * rng.random((1, 20, 10))).astype(np.float32), n, axis=0)
+
+    @pytest.mark.parametrize("kind", ["zero", "one_hot", "random", "repeated"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+    def test_each_row_has_the_bits_of_its_own_call(self, n, kind):
+        fwd, bwd = _cells(20)
+        flows = self._flows(kind, n, np.random.default_rng(n))
+        states, final = bilstm_forward(flows, fwd, bwd)
+        assert states.data.shape == (n, 20, 32) and final.data.shape == (n, 32)
+        for i, flow in enumerate(flows):
+            one_states, one_final = bilstm_forward(flow, fwd, bwd)
+            npt.assert_array_equal(states.data[i].view(np.uint32), one_states.data.view(np.uint32))
+            npt.assert_array_equal(final.data[i:i + 1].view(np.uint32), one_final.data.view(np.uint32))
+
+    def test_refused_while_a_tape_records(self):
+        fwd, bwd = _cells(21)
+        with Tape(), pytest.raises(ValueError, match="records no gradient"):
+            bilstm_forward(np.zeros((2, 20, 10), np.float32), fwd, bwd)
+
+    @pytest.mark.parametrize("shape", [(0, 20, 10), (2, 0, 10), (2, 20, 9), (1, 2, 20, 10)])
+    def test_bad_shapes_rejected(self, shape):
+        fwd, bwd = _cells(22)
+        with pytest.raises(ValueError):
+            bilstm_forward(np.zeros(shape, np.float32), fwd, bwd)
+
+
 class TestAttention:
     def test_single_state_gets_full_weight(self):
         rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import fuzzed_token_lists
+from tagflow import model as model_module
 from tagflow.autodiff import Tape, Tensor, constant, gradcheck, kl_divergence
 from tagflow.corpus import Vocabulary
 from tagflow.errors import ConfigError, DataError
@@ -226,27 +227,51 @@ class TestForward:
 
     @pytest.mark.parametrize("variant, dtype", [("cnn", np.float32), ("cnn_fe", np.float32),
                                                 ("cnn_fe", np.float64)])
-    def test_conv_features_give_forwards_bits(self, variant, dtype):
+    def test_conv_features_give_forwards_bits(self, variant, dtype, monkeypatch):
+        """A trunk is [conv features | flow features], and a head-only forward
+        given it has the bits of a full forward, whether the flows run in one
+        Bi-LSTM call or in several."""
         config = small_config(variant=variant, vocab_size=58, seq_len=80, embed_dim=24, filter_sizes=(2, 3, 5),
                               filters_per_size=40, n_segments=6, dense_sizes=(16,), n_tags=7)
         model = build_model(config, dtype=dtype)
         rng = np.random.default_rng(1)
         token_lists = fuzzed_token_lists(rng, 36, config.seq_len, config.vocab_size + 2)
         flows = [100.0 * rng.random((config.n_segments, 10)) if config.uses_flow else None for _ in token_lists]
-        for tokens, flow in zip(token_lists, flows):
+        inputs = list(zip(token_lists, flows))
+        trunks = list(model.trunks(inputs))
+        monkeypatch.setattr(model_module, "FLOW_BATCH", 5)
+        assert [t.tobytes() for t in model.trunks(inputs)] == [t.tobytes() for t in trunks]
+        for (tokens, flow), trunk in zip(inputs, trunks):
             row = model.conv_features(tokens).data
             assert row.shape == (model.conv.output_dim,) and row.dtype == dtype
-            probs = model.forward(tokens, flow, conv=row).data
+            assert trunk.shape == (model.trunk_dim,) and trunk.dtype == dtype
+            assert trunk[:len(row)].tobytes() == row.tobytes()
+            probs = model.forward(tokens, flow, trunk=trunk).data
             assert probs.tobytes() == model.forward(tokens, flow).data.tobytes(), tokens
 
-    def test_conv_features_refused_while_a_tape_records(self):
+    def test_trunk_refused_while_a_tape_records(self):
         model = build_model(small_config())
         tokens, flow = random_inputs(model.config)
-        row = model.conv_features(tokens).data
+        (trunk,) = model.trunks([(tokens, flow)])
+        assert trunk.shape == (8 + 12,)
         with Tape(), pytest.raises(ValueError, match="no tape records"):
-            model.forward(tokens, flow, conv=row)
-        with pytest.raises(ValueError, match=r"conv features of shape \(7,\) != \(8,\)"):
-            model.forward(tokens, flow, conv=row[:7])
+            model.forward(tokens, flow, trunk=trunk)
+        with pytest.raises(ValueError, match=r"trunk of shape \(19,\) != \(20,\)"):
+            model.forward(tokens, flow, trunk=trunk[:19])
+        with pytest.raises(ValueError, match="emotion flow shape"):
+            model.forward(tokens, flow[:3], trunk=trunk)
+        with Tape(), pytest.raises(ValueError, match="no gradient"):
+            next(model.trunks([(tokens, flow)]))
+
+    def test_flow_features_check_their_input(self):
+        model = build_model(small_config())
+        _, flow = random_inputs(model.config)
+        assert model.flow_features([flow, flow]).shape == (2, 12)
+        for flows in ([], flow, [flow[:3]], np.zeros((1, 4, 9))):
+            with pytest.raises(ValueError, match="emotion flows of shape"):
+                model.flow_features(flows)
+        with pytest.raises(ValueError, match="no emotion flow branch"):
+            build_model(small_config(variant="cnn")).flow_features([flow])
 
     def test_dropout_perturbs_training_forward(self):
         config = small_config()

@@ -151,3 +151,32 @@ def test_a_step_allocates_no_full_size_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def test_a_parameter_backward_never_reached_steps_as_with_a_zero_gradient():
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(2 * BLOCK + 5).astype(np.float32)
+    grads = [rng.standard_normal(values.size).astype(np.float32), None, None]
+    params = {name: Tensor(values.copy(), requires_grad=True) for name in ("unreached", "zero")}
+    opt = RmsProp(params, lr=1e-2)
+    for g in grads:
+        params["unreached"]._grad = None if g is None else g.copy()
+        params["zero"]._grad = np.zeros_like(values) if g is None else g.copy()
+        opt.step()
+    assert params["unreached"].data.tobytes() == params["zero"].data.tobytes()
+    assert opt.square_avg["unreached"].tobytes() == opt.square_avg["zero"].tobytes()
+    assert not np.array_equal(params["zero"].data, values)
+
+
+def test_a_step_allocates_nothing_for_a_parameter_backward_never_reached():
+    n = 4 * 1024 * 1024
+    p = Tensor(np.zeros(n, np.float32), requires_grad=True)
+    opt = RmsProp({"p": p}, lr=1e-3)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

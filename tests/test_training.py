@@ -85,8 +85,9 @@ class TestEvaluateLoss:
         with pytest.raises(ValueError):
             evaluate_loss(build_model(tiny_config()), [])
 
-    def test_given_conv_gives_one_forward_per_example_bit_for_bit(self):
-        config = small_config(n_tags=3, vocab_size=40, seq_len=30, filters_per_size=16)
+    @pytest.mark.parametrize("variant", ["cnn", "cnn_fe"])
+    def test_shared_trunks_give_one_forward_per_example_bit_for_bit(self, variant):
+        config = small_config(variant=variant, n_tags=3, vocab_size=40, seq_len=30, filters_per_size=16)
         model = build_model(config)
         examples = make_examples(config, 12)
         weights = ClassWeights(n_examples=12, tag_counts=(3, 4, 5))
@@ -95,10 +96,6 @@ class TestEvaluateLoss:
             expected += float(kl_divergence(ex.target, model.forward(ex.tokens, ex.flow),
                                             weights=weights.weights).data)
         assert evaluate_loss(model, examples, weights) == expected / len(examples)
-        conv = [model.conv_features(ex.tokens).data for ex in examples]
-        assert evaluate_loss(model, examples, weights, conv=conv) == expected / len(examples)
-        with pytest.raises(ValueError):
-            evaluate_loss(model, examples, weights, conv=conv[:-1])
 
 
 class TestEarlyStopping:
