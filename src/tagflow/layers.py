@@ -36,7 +36,6 @@ from .autodiff import (
     window_max_pool,
     windows,
 )
-from .corpus import PAD_INDEX
 from .errors import DataError
 
 
@@ -140,13 +139,9 @@ def conv_bank_forward(embedded, bank, *, tokens):
     the (T - c + 1, c * embed_dim) window matrix would take
     (T - c + 1) * c * embed_dim * n_filters.  The windows are scored a
     cache-sized block at a time, keeping only each filter's running max
-    and first winner (see ``autodiff.window_max``).
-
-    Sequences are left-padded with ``PAD_INDEX``.  When no tape records, the
-    rows before the last ``max(filter_sizes)`` leading pad tokens are
-    dropped: each window they start holds only the pad row, and so does one
-    window every width keeps, which scores the same, so no max changes.  The
-    kept tokens have the same distinct ids, so both calls give the same bits.
+    and first winner (see ``autodiff.window_max``).  Every row given is
+    scored, taped or not; ``TagModel.trunks`` drops surplus leading padding
+    before the lookup.
     """
     seq_len, embed_dim = embedded.data.shape
     tokens = np.asarray(tokens)
@@ -159,16 +154,9 @@ def conv_bank_forward(embedded, bank, *, tokens):
         )
     if embed_dim != bank.embed_dim:
         raise ValueError(f"embedding width {embed_dim} != conv bank width {bank.embed_dim}")
-    x = embedded
-    # Training keeps every row while perfbench's tape-cycle RSS test contrasts dead-tape size.
-    if not recording(embedded, *bank.parameters().values()):
-        real = np.flatnonzero(tokens != PAD_INDEX)
-        start = max((int(real[0]) if real.size else seq_len) - largest, 0)
-        x = constant(embedded.data[start:], dtype=embedded.dtype)
-        tokens = tokens[start:]
     _, first, inverse = np.unique(tokens, return_index=True, return_inverse=True)
-    distinct = (x.data[first], inverse)
-    pooled = [window_max_pool(windows(x, c), bank.weights[c], bank.biases[c], distinct)
+    distinct = (embedded.data[first], inverse)
+    pooled = [window_max_pool(windows(embedded, c), bank.weights[c], bank.biases[c], distinct)
               for c in bank.filter_sizes]
     return concat(pooled, axis=-1)
 
@@ -290,7 +278,7 @@ def bilstm_forward(flow, fwd_cell, bwd_cell):
     x = flow.astype(dtype, copy=False).reshape(n_seqs, n_steps, dim)
     xs = np.stack([x, x[:, ::-1]], axis=1)                 # (N, 2, T, d) in step order
     pre = (np.matmul(xs, w_s) + bias).reshape(2 * n_seqs, n_steps, 4 * h)
-    w_rows = np.tile(w_rec, (n_seqs, 1, 1)) if batched else w_rec
+    w_rows = np.tile(w_rec, (n_seqs, 1, 1)) if n_seqs > 1 else w_rec
     hc = np.zeros((2 * n_seqs, n_steps + 1, 2 * h), dtype)  # [h ; c] before step k is hc[:, k]
     gates = np.empty((2 * n_seqs, n_steps, 4 * h), dtype)   # i, f, o, candidate after activation
     tanh_c = np.empty((2 * n_seqs, n_steps, h), dtype)

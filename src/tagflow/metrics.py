@@ -8,7 +8,7 @@ reports render them as percentages only at presentation time.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class MetricsReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2) + "\n"
+        # the fields as they are, in field order: asdict would deep-copy every list and dict first
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text):

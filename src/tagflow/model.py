@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, constant, dropout, recording, reshape, softmax_last_axis
+from .autodiff import Tensor, _active_tape, concat, constant, dropout, recording, reshape, softmax_last_axis
 from .corpus import OOV_INDEX, PAD_INDEX, SEQUENCE_LENGTH
 from .emotion import DEFAULT_SEGMENTS, EMOTIONS
 from .errors import ConfigError, DataError, check_keys, check_types, open_text
@@ -46,7 +46,7 @@ CLASS_WEIGHTED_VARIANTS = ("cnn_cw", "cnn_fe", "cnn_fe_pretrained")
 #: rows, so a larger value fails validation rather than the first encode.
 MAX_INPUT_ROWS = 10**6
 
-#: Flows per Bi-LSTM call in ``TagModel.flow_features``. Past a few dozen
+#: Flows per Bi-LSTM call in ``TagModel.trunks``. Past a few dozen
 #: flows a call's time grows with N, so larger batches would only hold more
 #: activations and weight copies (~50 KB per flow at 16 LSTM units).
 FLOW_BATCH = 64
@@ -193,42 +193,56 @@ class TagModel:
         """The conv bank's pooled features of one token sequence, taped exactly when a tape records."""
         return conv_bank_forward(self.embedding.lookup(tokens), self.conv, tokens=tokens)
 
-    def flow_features(self, flows):
-        """The flow branch's features of many emotion flows at once, recording nothing.
+    def _recording(self):
+        """Whether a tape records this model's forward; the parameter map is built only under an active tape."""
+        return _active_tape() is not None and recording(*self.parameters().values())
 
-        ``flows`` holds (n_segments, 10) matrices; row i of the
-        (len(flows), 4 * lstm_units) result is [attention vector | final
-        states] of flow i, with the bits that ``forward`` computes for it.
-        The Bi-LSTM runs over up to ``FLOW_BATCH`` flows per call.
-        """
-        if not self.config.uses_flow:
-            raise ValueError(f"variant '{self.config.variant}' has no emotion flow branch")
-        flows = np.asarray(flows)
-        expected = (self.config.n_segments, len(EMOTIONS))
-        if flows.ndim != 3 or flows.shape[1:] != expected or not len(flows):
-            raise ValueError(f"emotion flows of shape {flows.shape} != (N >= 1, *{expected})")
-        rows = []
-        for lo in range(0, len(flows), FLOW_BATCH):
-            states, final = bilstm_forward(flows[lo:lo + FLOW_BATCH], self.lstm_fwd, self.lstm_bwd)
-            for seq_states, seq_final in zip(states.data, final.data):
-                r, _ = attention_forward(constant(seq_states), self.attention)
-                rows.append(np.concatenate([r.data, seq_final]))
-        return np.stack(rows)
+    def _checked(self, tokens, flow):
+        """``tokens`` and ``flow`` as arrays, refused unless they are one example's inputs."""
+        tokens = np.asarray(tokens)
+        if tokens.shape != (self.config.seq_len,):
+            raise ValueError(f"token sequence shape {tokens.shape} != ({self.config.seq_len},)")
+        if self.config.uses_flow:
+            if flow is None:
+                raise ValueError(f"variant '{self.config.variant}' requires an emotion flow input")
+            flow = np.asarray(flow)
+            expected = (self.config.n_segments, len(EMOTIONS))
+            if flow.shape != expected:
+                raise ValueError(f"emotion flow shape {flow.shape} != {expected}")
+        elif flow is not None:
+            raise ValueError(f"variant '{self.config.variant}' does not take an emotion flow input")
+        return tokens, flow
 
     def trunks(self, inputs):
         """Yield each ``(tokens, flow)`` pair's classifier input, in order, recording nothing.
 
-        Each is the ``trunk`` that ``forward`` takes.  The flow branch runs
-        over every flow at once (``flow_features``) before the first trunk;
-        the conv runs for one example just before its trunk is yielded, so a
-        caller that drops each trunk after its forwards holds one example's
-        conv features at a time.
+        Each is the ``trunk`` that ``forward`` takes; every forward that
+        records nothing gets its features here.  One Bi-LSTM call runs over
+        each chunk of up to ``FLOW_BATCH`` flows, then each example's conv and
+        attention run just before its trunk is yielded.  The leading pads
+        before the last ``max(filter_sizes)`` are dropped before the lookup:
+        each window they start holds only the pad row, as does a window that
+        every width keeps, so no max changes and the trunk has the taped
+        forward's bits.  Taped forwards never come here: training scores every row.
         """
-        inputs = list(inputs)
-        flow_rows = self.flow_features([flow for _, flow in inputs]) if self.config.uses_flow else None
-        for i, (tokens, _) in enumerate(inputs):
-            conv = self.conv_features(tokens).data
-            yield conv if flow_rows is None else np.concatenate([conv, flow_rows[i]])
+        if self._recording():
+            raise ValueError("a trunk carries no gradient; build trunks only when no tape records")
+        inputs = [self._checked(tokens, flow) for tokens, flow in inputs]
+        if not inputs:
+            raise ValueError("trunks requires at least one (tokens, flow) input")
+        largest = max(self.config.filter_sizes)
+        for lo in range(0, len(inputs), FLOW_BATCH):
+            chunk = inputs[lo:lo + FLOW_BATCH]
+            if self.config.uses_flow:
+                states, final = bilstm_forward(np.stack([flow for _, flow in chunk]), self.lstm_fwd, self.lstm_bwd)
+            for i, (tokens, _) in enumerate(chunk):
+                real = np.flatnonzero(tokens != PAD_INDEX)
+                start = max((int(real[0]) if real.size else len(tokens)) - largest, 0)
+                features = [self.conv_features(tokens[start:]).data]
+                if self.config.uses_flow:
+                    r, _ = attention_forward(constant(states.data[i]), self.attention)
+                    features += [r.data, final.data[i]]
+                yield np.concatenate(features)
 
     def forward(self, tokens, flow=None, dropout_rng=None, *, trunk=None):
         """Probability vector over tags for one encoded example.
@@ -242,31 +256,21 @@ class TagModel:
         ``trunk`` is the example's (trunk_dim,) classifier input, as
         ``trunks`` yields it, for a forward that records nothing: with it
         only the dense head runs, and the result has the bits of a full
-        forward.
+        forward.  Without it such a forward takes its trunk from ``trunks``.
         """
-        tokens = np.asarray(tokens)
-        if tokens.shape != (self.config.seq_len,):
-            raise ValueError(f"token sequence shape {tokens.shape} != ({self.config.seq_len},)")
-        if self.config.uses_flow:
-            if flow is None:
-                raise ValueError(f"variant '{self.config.variant}' requires an emotion flow input")
-            flow = np.asarray(flow)
-            expected = (self.config.n_segments, len(EMOTIONS))
-            if flow.shape != expected:
-                raise ValueError(f"emotion flow shape {flow.shape} != {expected}")
-        elif flow is not None:
-            raise ValueError(f"variant '{self.config.variant}' does not take an emotion flow input")
-
+        tokens, flow = self._checked(tokens, flow)
+        taped = self._recording()
+        if trunk is None and not taped:
+            (trunk,) = self.trunks([(tokens, flow)])
         if trunk is None:
             features = [self.conv_features(tokens)]
             if self.config.uses_flow:
                 states, final = bilstm_forward(flow.astype(self.dtype), self.lstm_fwd, self.lstm_bwd)
                 r, _ = attention_forward(states, self.attention)
-                features.append(r)
-                features.append(reshape(final, (-1,)))
+                features += [r, reshape(final, (-1,))]
             x = reshape(concat(features, axis=-1), (1, -1))
         else:
-            if recording(*self.parameters().values()):
+            if taped:
                 raise ValueError("a precomputed trunk carries no gradient; pass trunk only when no tape records")
             trunk = np.asarray(trunk)
             if trunk.shape != (self.trunk_dim,):

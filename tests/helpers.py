@@ -272,3 +272,28 @@ def fuzzed_token_lists(rng, n, seq_len, n_ids):
         out.append(tokens)
     return out
 
+
+def left_padded(seq_len, n_real):
+    """Token ids for ``seq_len`` rows whose last ``n_real`` are real: pad ids, then 1, 2, ..."""
+    tokens = np.zeros(seq_len, dtype=np.intp)
+    tokens[seq_len - n_real:] = np.arange(1, n_real + 1)
+    return tokens
+
+
+#: Padding cases of a 12-row sequence against filter widths (2, 3, 5): (real rows, sign of the real
+#: rows and the conv weights: +1, -1 or 0 for mixed).  A tape-free model forward keeps only the
+#: widest filter's 5 pad rows of the leading padding.
+PADDING_CASES = [
+    (12, 0),   # no padding
+    (12, -1),  # no padding, every window scores < 0: no zero candidate
+    (10, 0),   # 2 pad rows: fewer than c - 1 for width 5
+    (5, -1),   # every window touching a real row scores < 0: relu(b) wins
+    (5, 1),    # every window touching a real row scores > 0
+    (0, 0),    # all padding
+    (3, 0),    # fewer real rows than the widest filter
+    (7, -1),   # exactly as many pad rows as the widest filter: nothing to drop
+    (6, -1),   # one more pad row than the widest filter: one row dropped
+]
+PADDING_CASE_IDS = ["no-padding", "no-padding-negative", "short-padding", "long-padding-negative",
+                    "long-padding-positive", "all-padding", "shorter-than-widest",
+                    "widest-padding-negative", "widest-plus-one-padding-negative"]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import runpy
 import shutil
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -769,6 +771,28 @@ class TestBaselines:
         assert status == 1
         assert "error: --k must be in [1, 4]" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestReportJson:
+    def test_every_written_report_has_the_bytes_of_its_asdict_json(self, workspace, tmp_path, monkeypatch, capsys):
+        """``to_json`` of each report that evaluate, baselines and the metrics demo build."""
+        reports = []
+        to_json = MetricsReport.to_json
+        with monkeypatch.context() as m:
+            m.setattr(MetricsReport, "to_json", lambda self: reports.append(self) or to_json(self))
+            for argv in (["evaluate", "--checkpoint", workspace.fe_ckpt, "--lexicon", workspace.lexicon,
+                          "--k", "1,3"],
+                         ["evaluate", "--checkpoint", workspace.cnn_ckpt, "--k", "2"],
+                         ["baselines", "--k", "1,2", "--seed", "3"]):
+                assert main([*argv, "--corpus", workspace.corpus, "--out", str(tmp_path / argv[0])]) == 0
+        assert len(reports) == 7
+        demo = runpy.run_path(str(Path(__file__).resolve().parents[1] / "demos" / "metrics_and_baselines.py"))
+        reports += [value for value in demo.values() if isinstance(value, MetricsReport)]
+        assert len(reports) == 9
+        for report in reports:
+            text = report.to_json()
+            assert text == json.dumps(asdict(report), indent=2) + "\n"
+            assert MetricsReport.from_json(text) == report
 
 
 class TestCompare:

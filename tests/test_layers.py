@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import make_record, reference_bilstm, total
+from helpers import PADDING_CASE_IDS, PADDING_CASES, left_padded, make_record, reference_bilstm, total
 from tagflow import layers
 from tagflow.autodiff import (
     Tape,
@@ -75,13 +75,6 @@ class TestEmbedding:
         emb = Embedding(6, 3, np.random.default_rng(0), dtype=np.float64)
         indices = np.array([2, 4, 2])
         gradcheck(lambda: total(emb.lookup(indices)), [emb.table])
-
-
-def _left_padded(seq_len, n_real):
-    """Token ids for ``seq_len`` rows whose last ``n_real`` are real: pad ids, then 1, 2, ..."""
-    tokens = np.zeros(seq_len, dtype=np.intp)
-    tokens[seq_len - n_real:] = np.arange(1, n_real + 1)
-    return tokens
 
 
 class TestConvBank:
@@ -177,20 +170,7 @@ class TestConvBank:
         npt.assert_array_equal(x.grad[:2], 3.0 * w[:, 0].reshape(2, 3))
         npt.assert_array_equal(x.grad[2:], 0.0)
 
-    # (real rows of 12, sign of real rows and weights: +1, -1 or 0 for mixed)
-    @pytest.mark.parametrize("n_real, sign", [
-        (12, 0),   # no padding
-        (12, -1),  # no padding, every window scores < 0: no zero candidate
-        (10, 0),   # 2 pad rows: fewer than c - 1 for width 5
-        (5, -1),   # every window touching a real row scores < 0: relu(b) wins
-        (5, 1),    # every window touching a real row scores > 0
-        (0, 0),    # all padding
-        (3, 0),    # fewer real rows than the widest filter
-        (7, -1),   # exactly as many pad rows as the widest filter: nothing to drop
-        (6, -1),   # one more pad row than the widest filter: one row dropped
-    ], ids=["no-padding", "no-padding-negative", "short-padding", "long-padding-negative",
-            "long-padding-positive", "all-padding", "shorter-than-widest",
-            "widest-padding-negative", "widest-plus-one-padding-negative"])
+    @pytest.mark.parametrize("n_real, sign", PADDING_CASES, ids=PADDING_CASE_IDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_tape_free_path_matches_taped_graph(self, n_real, sign, dtype):
         rng = np.random.default_rng(7)
@@ -204,13 +184,13 @@ class TestConvBank:
             for w in bank.weights.values():
                 w.data[:] = sign * np.abs(w.data)
         x[12 - n_real:] = real
-        tokens = _left_padded(12, n_real)
+        tokens = left_padded(12, n_real)
         with Tape() as tape:
             taped = conv_bank_forward(constant(x, dtype=dtype), bank, tokens=tokens)
         assert len(tape) > 0
         free = conv_bank_forward(constant(x, dtype=dtype), bank, tokens=tokens)
         assert free.tape is None and free.dtype == dtype
-        # the trimmed rows hold the same distinct tokens, so the bits agree
+        # the taped call also finds each filter's winner, which changes no max
         npt.assert_array_equal(free.data, taped.data)
         if sign < 0:
             relu_b = np.maximum(np.concatenate([bank.biases[c].data[0] for c in bank.filter_sizes]), 0)
@@ -219,9 +199,10 @@ class TestConvBank:
             else:
                 assert (free.data <= relu_b).all() and (free.data < relu_b).any()
 
-    # a pad lead of 5 (the widest filter) drops nothing, of 16 or 20 drops rows
+    # padding trims nothing here: TagModel.trunks drops surplus pads before the lookup
     @pytest.mark.parametrize("n_real", [15, 4, 0])
-    def test_only_a_tape_free_call_drops_leading_padding(self, n_real, monkeypatch):
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_scores_every_row_taped_or_not(self, n_real, taped, monkeypatch):
         rng = np.random.default_rng(10)
         bank = ConvBank((2, 3, 5), 4, 3, rng)
         x = np.zeros((20, 3), dtype=np.float32)
@@ -233,16 +214,13 @@ class TestConvBank:
             return window_max_pool(xw, w, b, distinct)
 
         monkeypatch.setattr(layers, "window_max_pool", spy)
-        conv_bank_forward(constant(x), bank, tokens=_left_padded(20, n_real))
-        # n_real rows plus the widest filter's 5 pad rows
-        assert window_rows == [n_real + 5 - c + 1 for c in bank.filter_sizes]
-        window_rows.clear()
-        with Tape():
-            conv_bank_forward(constant(x), bank, tokens=_left_padded(20, n_real))
+        with Tape() if taped else contextlib.nullcontext() as tape:
+            out = conv_bank_forward(Tensor(x, requires_grad=taped), bank, tokens=left_padded(20, n_real))
+        assert (out.tape is not None) == taped and (tape is not None) == taped
         assert window_rows == [20 - c + 1 for c in bank.filter_sizes]
 
     @pytest.mark.parametrize("taped", [False, True])
-    def test_projects_one_row_per_distinct_kept_token(self, taped, monkeypatch):
+    def test_projects_one_row_per_distinct_token(self, taped, monkeypatch):
         rng = np.random.default_rng(13)
         bank = ConvBank((2, 3, 5), 4, 3, rng)
         table = rng.standard_normal((10, 3)).astype(np.float32)
@@ -257,12 +235,10 @@ class TestConvBank:
         monkeypatch.setattr(layers, "window_max_pool", spy)
         with Tape() if taped else contextlib.nullcontext():
             conv_bank_forward(Tensor(table[tokens], requires_grad=taped), bank, tokens=tokens)
-        # a tape-free call keeps the widest filter's 5 pad rows of the 9
-        kept = tokens if taped else tokens[4:]
         assert len(seen) == 3 and all(d is seen[0] for d in seen)
         rows, inverse = seen[0]
         assert rows.shape == (6, 3)  # the pad id and 1, 3, 5, 7, 9
-        npt.assert_array_equal(rows[inverse], table[kept])
+        npt.assert_array_equal(rows[inverse], table[tokens])
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_nan_embedding_row_makes_every_filter_nan(self, taped):
@@ -273,7 +249,7 @@ class TestConvBank:
         x[8, 2] = np.nan
         # every filter scores every window, and the windows over row 8 score NaN
         with Tape() if taped else contextlib.nullcontext():
-            out = conv_bank_forward(Tensor(x, requires_grad=taped), bank, tokens=_left_padded(12, 8))
+            out = conv_bank_forward(Tensor(x, requires_grad=taped), bank, tokens=left_padded(12, 8))
         assert (out.tape is not None) == taped
         assert np.isnan(out.data).all()
 
@@ -287,7 +263,7 @@ class TestConvBank:
         signed[:6:2] = -0.0  # padding rows of both signs, distinct as bytes
         signed[9, 1] = signed[12, 0] = -0.0
         assert signed.tobytes() != x.tobytes()
-        tokens = _left_padded(16, 10)
+        tokens = left_padded(16, 10)
         expected = conv_bank_forward(constant(x), bank, tokens=tokens).data
         npt.assert_array_equal(conv_bank_forward(constant(signed), bank, tokens=tokens).data, expected)
         with Tape():

@@ -10,9 +10,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import fuzzed_token_lists
+from helpers import PADDING_CASE_IDS, PADDING_CASES, fuzzed_token_lists, left_padded
+from tagflow import layers
 from tagflow import model as model_module
-from tagflow.autodiff import Tape, Tensor, constant, gradcheck, kl_divergence
+from tagflow.autodiff import Tape, Tensor, constant, gradcheck, kl_divergence, window_max_pool
 from tagflow.corpus import Vocabulary
 from tagflow.errors import ConfigError, DataError
 from tagflow.layers import ClassWeights, Embedding
@@ -242,12 +243,111 @@ class TestForward:
         monkeypatch.setattr(model_module, "FLOW_BATCH", 5)
         assert [t.tobytes() for t in model.trunks(inputs)] == [t.tobytes() for t in trunks]
         for (tokens, flow), trunk in zip(inputs, trunks):
-            row = model.conv_features(tokens).data
+            with Tape():
+                row = model.conv_features(tokens).data
+                full = model.forward(tokens, flow).data
             assert row.shape == (model.conv.output_dim,) and row.dtype == dtype
             assert trunk.shape == (model.trunk_dim,) and trunk.dtype == dtype
             assert trunk[:len(row)].tobytes() == row.tobytes()
             probs = model.forward(tokens, flow, trunk=trunk).data
-            assert probs.tobytes() == model.forward(tokens, flow).data.tobytes(), tokens
+            assert probs.tobytes() == full.tobytes(), tokens
+
+    @pytest.mark.parametrize("n_real, sign", PADDING_CASES, ids=PADDING_CASE_IDS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_trunk_conv_part_equals_taped_conv_features(self, n_real, sign, dtype):
+        """``trunks`` drops leading pads before the lookup, and only rows whose windows change no max."""
+        config = small_config(variant="cnn", vocab_size=12, seq_len=12, embed_dim=4, filter_sizes=(2, 3, 5),
+                              filters_per_size=6)
+        model = build_model(config, dtype=dtype)
+        rng = np.random.default_rng(7)
+        for b in model.conv.biases.values():
+            b.data[:] = rng.normal(scale=3.0, size=(1, 6))
+        real = model.embedding.table.data[1:n_real + 1]  # the rows of the real tokens 1, 2, ...
+        real[:] = rng.standard_normal((n_real, 4))
+        if sign:
+            real[:] = np.abs(real) + 0.1
+            for w in model.conv.weights.values():
+                w.data[:] = sign * np.abs(w.data)
+        tokens = left_padded(12, n_real)
+        with Tape() as tape:
+            taped = model.conv_features(tokens).data
+        assert len(tape) > 0
+        (trunk,) = model.trunks([(tokens, None)])
+        assert trunk.dtype == dtype and trunk.tobytes() == taped.tobytes()
+        if sign < 0:
+            relu_b = np.maximum(np.concatenate([model.conv.biases[c].data[0] for c in config.filter_sizes]), 0)
+            if n_real < 12:
+                npt.assert_array_equal(trunk, relu_b)
+            else:
+                assert (trunk <= relu_b).all() and (trunk < relu_b).any()
+
+    # a pad lead of 5 (the widest filter) drops nothing, of 16 or 20 drops rows
+    @pytest.mark.parametrize("n_real", [15, 4, 0])
+    def test_only_tape_free_forwards_drop_leading_padding(self, n_real, monkeypatch):
+        model = build_model(small_config(seq_len=20, filter_sizes=(2, 3, 5)))
+        tokens, (_, flow) = left_padded(20, n_real), random_inputs(model.config)
+        looked_up, window_rows = [], []
+        lookup = Embedding.lookup
+
+        def lookup_spy(self, indices):
+            looked_up.append(len(indices))
+            return lookup(self, indices)
+
+        def pool_spy(xw, w, b, distinct):
+            window_rows.append(xw.data.shape[0])
+            return window_max_pool(xw, w, b, distinct)
+
+        monkeypatch.setattr(Embedding, "lookup", lookup_spy)
+        monkeypatch.setattr(layers, "window_max_pool", pool_spy)
+
+        def rows_seen(run):
+            looked_up.clear()
+            window_rows.clear()
+            run()
+            return looked_up[:], window_rows[:]
+
+        def scored(n_rows):
+            return [n_rows], [n_rows - c + 1 for c in (2, 3, 5)]
+
+        # n_real rows plus the widest filter's 5 pad rows
+        assert rows_seen(lambda: model.forward(tokens, flow)) == scored(min(n_real + 5, 20))
+        assert rows_seen(lambda: model.forward(tokens, flow, trunk=next(model.trunks([(tokens, flow)])))) \
+            == scored(min(n_real + 5, 20))
+        with Tape():
+            assert rows_seen(lambda: model.forward(tokens, flow)) == scored(20)
+
+    @pytest.mark.parametrize("variant", ["cnn", "cnn_fe"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tape_free_forward_is_the_trunks_path(self, variant, dtype, monkeypatch):
+        """One one-flow ``trunks`` call per tape-free forward, with the taped forward's bits, on padded,
+        all-pad, one-token and repeated-token inputs; so too under a tape whose parameters need no grad."""
+        config = small_config(variant=variant, vocab_size=58, seq_len=40, embed_dim=8, filter_sizes=(2, 3, 5),
+                              filters_per_size=12, n_segments=6)
+        model = build_model(config, dtype=dtype)
+        rng = np.random.default_rng(3)
+        calls, batches = [], []
+        trunks, bilstm_forward = TagModel.trunks, model_module.bilstm_forward
+        monkeypatch.setattr(TagModel, "trunks", lambda self, inputs: calls.append(1) or trunks(self, inputs))
+        monkeypatch.setattr(model_module, "bilstm_forward",
+                            lambda flow, fwd, bwd: batches.append(np.shape(flow)) or bilstm_forward(flow, fwd, bwd))
+        one_flow = [(1, 6, 10)] if config.uses_flow else []
+        for tokens in fuzzed_token_lists(rng, 24, config.seq_len, config.vocab_size + 2):
+            flow = 100.0 * rng.random((6, 10)) if config.uses_flow else None
+            with Tape() as tape:
+                taped = model.forward(tokens, flow).data
+            assert len(tape) > 0 and not calls
+            batches.clear()
+            free = model.forward(tokens, flow)
+            assert free.tape is None and len(calls) == 1 and batches == one_flow
+            assert free.data.tobytes() == taped.tobytes(), tokens
+            calls.clear()
+        for p in model.parameters().values():
+            p.requires_grad = False
+        batches.clear()
+        with Tape() as tape:
+            frozen = model.forward(tokens, flow)
+        assert len(tape) == 0 and len(calls) == 1 and batches == one_flow
+        assert frozen.data.tobytes() == taped.tobytes()
 
     def test_trunk_refused_while_a_tape_records(self):
         model = build_model(small_config())
@@ -263,15 +363,20 @@ class TestForward:
         with Tape(), pytest.raises(ValueError, match="no gradient"):
             next(model.trunks([(tokens, flow)]))
 
-    def test_flow_features_check_their_input(self):
+    def test_trunks_check_their_input(self):
         model = build_model(small_config())
-        _, flow = random_inputs(model.config)
-        assert model.flow_features([flow, flow]).shape == (2, 12)
-        for flows in ([], flow, [flow[:3]], np.zeros((1, 4, 9))):
-            with pytest.raises(ValueError, match="emotion flows of shape"):
-                model.flow_features(flows)
-        with pytest.raises(ValueError, match="no emotion flow branch"):
-            build_model(small_config(variant="cnn")).flow_features([flow])
+        tokens, flow = random_inputs(model.config)
+        assert [t.shape for t in model.trunks([(tokens, flow), (tokens, flow)])] == [(20,), (20,)]
+        with pytest.raises(ValueError, match="at least one"):
+            next(model.trunks([]))
+        # every input is checked before the first trunk
+        for bad in (flow[0], flow[:3], np.zeros((4, 9)), None):
+            with pytest.raises(ValueError, match="emotion flow"):
+                next(model.trunks([(tokens, flow), (tokens, bad)]))
+        with pytest.raises(ValueError, match=r"token sequence shape \(15,\) != \(16,\)"):
+            next(model.trunks([(tokens[:15], flow)]))
+        with pytest.raises(ValueError, match="does not take an emotion flow"):
+            next(build_model(small_config(variant="cnn")).trunks([(tokens, flow)]))
 
     def test_dropout_perturbs_training_forward(self):
         config = small_config()
