@@ -330,6 +330,10 @@ def cmd_train(args):
               file=sys.stderr)
     corpus_path = _require(run.corpus, "--corpus", "to train")
     out_dir = Path(_require(run.out, "--out", "to store the checkpoint"))
+    # refused now rather than after training: the nearest existing path must be a directory
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise DataError(f"--out {out_dir}: {existing} is not a directory")
     if run.model.variant == "cnn_fe_pretrained":
         _require(run.embeddings, "--embeddings", "for variant 'cnn_fe_pretrained'")
     lexicon = _read_lexicon(run.lexicon, run.model)

@@ -224,19 +224,12 @@ def _whole_lines(f):
 def _load_lines(path):
     """``load_lexicon`` as a loop over lines, for any file.
 
-    Each word's lines fold into two 10-bit integers, the dimensions named so
-    far and the ones set to 1, so a repeated (word, emotion) line is checked
-    without a per-line key or array; the bit table is built once at the end.
-
-    EmoLex lists a word's labels on consecutive lines, so the word is
-    normalized and its folds looked up once per run of lines with the same
-    raw first field; a word that comes back in a later run, or in another
-    case, resumes from the folds its earlier runs stored.  A label or flag
-    is normalized only when its raw field is not already canonical.
+    Every line's word, label and flag are normalized and folded into the
+    word's two 10-bit integers, the dimensions named so far and the ones
+    set to 1, so a repeated (word, emotion) line is checked without a
+    per-line key or array; the bit table is built once at the end.
     """
     named, ones = {}, {}
-    raw = word = None
-    seen = set_ = 0
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.strip().split("\t")
@@ -244,34 +237,21 @@ def _load_lines(path):
                 if parts == [""]:  # a blank line
                     continue
                 raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            if parts[0] != raw:
-                if word is not None:
-                    named[word], ones[word] = seen, set_
-                raw = parts[0]
-                word = raw.strip().lower()
-                seen, set_ = named.get(word, 0), ones.get(word, 0)
-            bit = _EMOTION_BITS.get(parts[1])
+            word, emotion, flag = parts[0].strip().lower(), parts[1].strip().lower(), parts[2].strip()
+            bit = _EMOTION_BITS.get(emotion)
             if bit is None:
-                emotion = parts[1].strip().lower()
-                bit = _EMOTION_BITS.get(emotion)
-                if bit is None:
-                    raise DataError(f"{path}: line {lineno}: unknown emotion label '{emotion}'")
-            flag = parts[2]
-            if flag != "1" and flag != "0":
-                flag = flag.strip()
-                if flag not in ("0", "1"):
-                    raise DataError(f"{path}: line {lineno}: association must be 0 or 1, got '{flag}'")
-            one = flag == "1"
-            if seen & bit and bool(set_ & bit) != one:
-                emotion = EMOTIONS[bit.bit_length() - 1]
+                raise DataError(f"{path}: line {lineno}: unknown emotion label '{emotion}'")
+            if flag not in ("0", "1"):
+                raise DataError(f"{path}: line {lineno}: association must be 0 or 1, got '{flag}'")
+            seen, set_ = named.get(word, 0), ones.get(word, 0)
+            if seen & bit and bool(set_ & bit) != (flag == "1"):
                 raise DataError(f"{path}: line {lineno}: conflicting duplicate for {(word, emotion)}")
-            seen |= bit
-            if one:
-                set_ |= bit
-    if word is None:
+            named[word] = seen | bit
+            if flag == "1":
+                ones[word] = set_ | bit
+    if not named:
         raise DataError(f"{path}: no lexicon entries")
-    named[word], ones[word] = seen, set_
-    return EmotionLexicon._from_bits(list(named), [ones[word] for word in named])
+    return EmotionLexicon._from_bits(list(named), [ones.get(word, 0) for word in named])
 
 
 def segment_words(tokens, n_segments=DEFAULT_SEGMENTS):

@@ -9,7 +9,6 @@ import numpy as np
 from tagflow.autodiff import add, concat, constant, matmul, mul, reshape, tanh
 from tagflow.corpus import Split, SynopsisRecord
 from tagflow.emotion import EMOTIONS, EmotionLexicon, segment_words
-from tagflow.errors import DataError, open_text
 
 CORPUS_COLUMNS = ("movie_id", "title", "plot_synopsis", "tags", "split", "synopsis_source")
 
@@ -65,36 +64,6 @@ def reference_encoding(text, vocab, stopwords, lexicon, max_len, n_segments):
     return seq, flow.astype(np.float32)
 
 
-def reference_load_lexicon(path):
-    """``load_lexicon`` as a loop that normalizes and looks up every field of
-    every line: the oracle for its bulk parse and its once-per-run loop."""
-    index = {name: i for i, name in enumerate(EMOTIONS)}
-    named, ones = {}, {}
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            word, emotion, flag = parts[0].strip().lower(), parts[1].strip().lower(), parts[2].strip()
-            if emotion not in index:
-                raise DataError(f"{path}: line {lineno}: unknown emotion label '{emotion}'")
-            if flag not in ("0", "1"):
-                raise DataError(f"{path}: line {lineno}: association must be 0 or 1, got '{flag}'")
-            bit = 1 << index[emotion]
-            seen, set_ = named.get(word, 0), ones.get(word, 0)
-            if seen & bit and bool(set_ & bit) != (flag == "1"):
-                raise DataError(f"{path}: line {lineno}: conflicting duplicate for {(word, emotion)}")
-            named[word] = seen | bit
-            if flag == "1":
-                ones[word] = set_ | bit
-    if not named:
-        raise DataError(f"{path}: no lexicon entries")
-    return EmotionLexicon._from_bits(list(named), [ones.get(word, 0) for word in named])
-
-
 def write_lexicon(path, text=SYNTHETIC_LEXICON):
     path.write_text(text, encoding="utf-8")
     return path
@@ -141,6 +110,36 @@ def separable_records(n=50, n_tags=5, seed=0, words_per_synopsis=40, split=Split
         words.extend(["common"] * 4)
         records.append(make_record(f"m{i:03d}", " ".join(words), chosen, split=split))
     return records
+
+
+def planted_arc_records():
+    """200 records, 160 train then 40 test, whose arc tag only the emotion flow tells; and its lexicon.
+
+    Arc tags alternate: ``rise`` is fear words then joy words, ``fall`` joy then fear.  The 4 word
+    tags alternate every two rows, so both arcs meet each.  A synopsis is 6 neutral words, a 24-word
+    half of its first emotion, 6 neutral words and a half of its second; a half is 8 of the emotion's
+    6 words, the word tag's 5 signature words and 11 neutral words, shuffled.  Both arcs draw their
+    words alike, and lead and gap outlast every filter, so a max over time cannot tell the order.
+    """
+    rng = np.random.default_rng(0)
+    emotion_words = {name: [f"{name}word{j}" for j in range(6)] for name in ("joy", "fear")}
+    neutral = [f"plain{j}" for j in range(40)]
+
+    def half(emotion, tag):
+        words = [*rng.choice(emotion_words[emotion], 8), *(f"{tag}mark{j}" for j in range(5)),
+                 *rng.choice(neutral, 11)]
+        rng.shuffle(words)
+        return words
+
+    records = []
+    for i in range(200):
+        arc, tag = ("rise", "fall")[i % 2], f"theme{i // 2 % 4}"
+        first, second = ("fear", "joy") if arc == "rise" else ("joy", "fear")
+        words = [*rng.choice(neutral, 6), *half(first, tag), *rng.choice(neutral, 6), *half(second, tag)]
+        records.append(make_record(f"p{i:03d}", " ".join(words), [arc, tag], Split.TRAIN if i < 160 else Split.TEST))
+    lexicon = EmotionLexicon({word: np.eye(len(EMOTIONS))[EMOTIONS.index(name)]
+                              for name, words in emotion_words.items() for word in words})
+    return records, lexicon
 
 
 def brute_force_micro_f1(preds, truths):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import GOLDEN_SYNOPSIS, brute_force_micro_f1, make_record, write_corpus_csv
+from tagflow import cli
 from tagflow import model as model_module
 from tagflow.autodiff import kl_divergence
 from tagflow.checkpoint import load_checkpoint, save_checkpoint
@@ -202,6 +203,23 @@ class TestTrain:
         assert status == 2
         assert str(corpus) in err and "4 train records" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("below", ["", "sub/dir"], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_the_corpus_is_read(
+            self, below, toy_corpus_path, tmp_path, monkeypatch, capsys):
+        # a file as --out, and a path under a file
+        blocker = tmp_path / "notadir"
+        blocker.write_text("kept\n", encoding="utf-8")
+        reads = []
+        monkeypatch.setattr(cli, "load_corpus", lambda path: reads.append(path))
+        status = main(["train", "--corpus", str(toy_corpus_path), "--out", str(blocker / below),
+                       "--variant", "cnn", *TINY_DIMS])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and f"{blocker} is not a directory" in err
+        assert "Traceback" not in err
+        assert reads == []
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
 
     def test_invalid_config_json_fails_fast(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

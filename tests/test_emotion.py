@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import GOLDEN_SYNOPSIS, reference_load_lexicon, write_lexicon
+from helpers import GOLDEN_SYNOPSIS, write_lexicon
 from tagflow import emotion
 from tagflow.corpus import tokenize
 from tagflow.emotion import (
@@ -91,6 +91,16 @@ class TestLexicon:
         with pytest.raises(DataError, match=r"line 3: conflicting duplicate for \('gleam', 'joy'\)"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("text, error", [
+        ("gleam\t Bliss \t1\n", "line 1: unknown emotion label 'bliss'"),
+        ("gleam\tjoy\t 2 \n", "line 1: association must be 0 or 1, got '2'"),
+        ("Gleam\tjoy\t0\nGLEAM \t Joy\t1\n", "line 2: conflicting duplicate for ('gleam', 'joy')"),
+    ], ids=["label", "flag", "conflict"])
+    def test_errors_name_the_normalized_fields(self, tmp_path, text, error):
+        path = write_lexicon(tmp_path / "bad.txt", text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load_lexicon(path)
+
     def test_consistent_duplicate_tolerated(self, tmp_path):
         path = write_lexicon(tmp_path / "dup.txt", "gleam\tjoy\t1\ngleam\tjoy\t1\n")
         lex = load_lexicon(path)
@@ -165,13 +175,13 @@ def _fuzzed_lexicon(rng):
 
 
 class TestLoadLexiconMatchesTheLineLoop:
-    """``load_lexicon``, and the once-per-run line loop it falls back on, give
-    what the per-line loop in ``helpers.reference_load_lexicon`` gives."""
+    """``load_lexicon`` gives what the per-line loop it falls back on,
+    ``emotion._load_lines``, gives."""
 
     def check(self, path, text):
         path.write_bytes(text.encode("utf-8"))
         got = _parsed(load_lexicon, path)
-        assert got == _parsed(emotion._load_lines, path) == _parsed(reference_load_lexicon, path), text
+        assert got == _parsed(emotion._load_lines, path), text
         return got
 
     def test_fuzzed_files_give_the_same_lexicon_or_error(self, tmp_path):
@@ -239,6 +249,14 @@ def _takes_bulk_path(path):
         return emotion._load_canonical(f) is not None
 
 
+def _emolex_shaped_lines():
+    """The lines of a canonical, EmoLex-shaped file: 1,500 words of 5 to 24
+    characters, each with its 10 labels in order on consecutive lines."""
+    rng = np.random.default_rng(21)
+    words = [f"w{i:04d}" + "x" * (i % 20) for i in range(1500)]
+    return [f"{word}\t{label}\t{int(rng.random() < 0.2)}\n" for word in words for label in EMOTIONS]
+
+
 class TestBulkParse:
     """The bulk parse of canonical text gives what the line loop gives, and
     every other file is parsed by the line loop."""
@@ -253,7 +271,7 @@ class TestBulkParse:
             monkeypatch.setattr(emotion, "_CHUNK_CHARS", rng.randrange(4, 160))
             path.write_text(_canonical_lexicon(rng), encoding="utf-8")
             got = _parsed(load_lexicon, path)
-            assert got == _parsed(reference_load_lexicon, path), path.read_text(encoding="utf-8")
+            assert got == _parsed(emotion._load_lines, path), path.read_text(encoding="utf-8")
             # only a conflict sends a canonical file to the line loop
             assert _takes_bulk_path(path) == (got[0] != "error")
             outcomes.add(got[1].split(": ")[-1].split(" ")[0] if got[0] == "error" else "ok")
@@ -279,7 +297,7 @@ class TestBulkParse:
     def test_edge_cases(self, tmp_path, text, canonical):
         path = tmp_path / "lex.txt"
         path.write_bytes(text.encode("utf-8"))
-        assert _parsed(load_lexicon, path) == _parsed(reference_load_lexicon, path)
+        assert _parsed(load_lexicon, path) == _parsed(emotion._load_lines, path)
         assert _takes_bulk_path(path) == canonical
 
     def test_a_bad_line_is_reported_before_bytes_that_do_not_decode_after_it(self, tmp_path):
@@ -289,18 +307,33 @@ class TestBulkParse:
         assert _parsed(load_lexicon, path) == ("error", f"{path}: line 1: unknown emotion label 'bliss'")
 
     def test_emolex_shaped_file_never_reaches_the_line_loop(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(21)
-        words = [f"w{i:04d}" + "x" * (i % 20) for i in range(1500)]
-        lines = [f"{word}\t{label}\t{int(rng.random() < 0.2)}" for word in words for label in EMOTIONS]
-        path = write_lexicon(tmp_path / "emolex.txt", "\n".join(lines) + "\n")
+        path = write_lexicon(tmp_path / "emolex.txt", "".join(_emolex_shaped_lines()))
         assert len(path.read_text(encoding="utf-8")) > 3 * emotion._CHUNK_CHARS
-        expected = _parsed(reference_load_lexicon, path)
+        expected = _parsed(emotion._load_lines, path)
 
         def line_loop(path):
             raise AssertionError("the line loop parsed a canonical file")
 
         monkeypatch.setattr(emotion, "_load_lines", line_loop)
         assert _parsed(load_lexicon, path) == expected
+
+    def test_line_loop_copies_give_the_canonical_lexicon(self, tmp_path):
+        # a capitalised copy, a copy with one blank line and one with spaces
+        # around every field take the line loop, and normalize to the
+        # lexicon of the canonical file
+        lines = _emolex_shaped_lines()
+        canonical = write_lexicon(tmp_path / "emolex.txt", "".join(lines))
+        copies = {
+            "capitalised": "".join(lines).upper(),
+            "blank": "".join(lines[:7_000] + ["\n"] + lines[7_000:]),
+            "spaced": "".join(" " + line[:-1].replace("\t", " \t ") + " \n" for line in lines),
+        }
+        expected = _parsed(load_lexicon, canonical)
+        assert _takes_bulk_path(canonical)
+        for name, text in copies.items():
+            path = write_lexicon(tmp_path / f"{name}.txt", text)
+            assert not _takes_bulk_path(path), name
+            assert _parsed(load_lexicon, path) == expected, name
 
 
 class TestSegmentWords:
